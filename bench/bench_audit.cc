@@ -33,19 +33,6 @@ using metricprox::Workload;
 using metricprox::WorkloadConfig;
 using metricprox::benchutil::PairCount;
 
-std::vector<ObjectId> ParseSizes(const std::string& csv) {
-  std::vector<ObjectId> sizes;
-  size_t begin = 0;
-  while (begin < csv.size()) {
-    size_t end = csv.find(',', begin);
-    if (end == std::string::npos) end = csv.size();
-    sizes.push_back(
-        static_cast<ObjectId>(std::stoul(csv.substr(begin, end - begin))));
-    begin = end + 1;
-  }
-  return sizes;
-}
-
 struct Stage {
   std::string label;
   Workload workload;
@@ -107,8 +94,13 @@ void RunMatrix(const Dataset& dataset, ObjectId n, uint64_t seed, uint32_t k,
 int main(int argc, char** argv) {
   auto flags = metricprox::Flags::Parse(argc, argv);
   CHECK(flags.ok()) << flags.status();
-  const std::vector<ObjectId> sizes =
-      ParseSizes(flags->GetString("sizes", "128,256"));
+  const StatusOr<std::vector<ObjectId>> parsed_sizes =
+      metricprox::benchutil::ParseSizes(flags->GetString("sizes", "128,256"));
+  if (!parsed_sizes.ok()) {
+    std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<ObjectId>& sizes = *parsed_sizes;
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   const std::string dataset_name = flags->GetString("dataset", "sf");
   const uint32_t k = static_cast<uint32_t>(flags->GetInt("k", 4));

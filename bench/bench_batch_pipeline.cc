@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,16 +25,6 @@ using metricprox::SchemeKind;
 using metricprox::Workload;
 using metricprox::WorkloadConfig;
 using metricprox::WorkloadResult;
-
-std::vector<ObjectId> ParseSizes(const std::string& csv) {
-  std::vector<ObjectId> sizes;
-  std::stringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    sizes.push_back(static_cast<ObjectId>(std::stoul(token)));
-  }
-  return sizes;
-}
 
 struct Cell {
   const char* label;
@@ -113,8 +102,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
-  const std::vector<ObjectId> sizes =
-      ParseSizes(flags->GetString("sizes", "128,256,512"));
+  const metricprox::StatusOr<std::vector<ObjectId>> parsed_sizes =
+      metricprox::benchutil::ParseSizes(
+          flags->GetString("sizes", "128,256,512"));
+  if (!parsed_sizes.ok()) {
+    std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<ObjectId>& sizes = *parsed_sizes;
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   const metricprox::Status unused = flags->FailOnUnused();
   if (!unused.ok()) {

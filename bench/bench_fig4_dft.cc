@@ -8,7 +8,6 @@
 // Flags: --sizes=8,10,12  --seed=42   (n=14 adds ~a minute of LP time)
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,20 +16,6 @@
 #include "harness/flags.h"
 #include "harness/table.h"
 
-namespace {
-
-std::vector<metricprox::ObjectId> ParseSizes(const std::string& csv) {
-  std::vector<metricprox::ObjectId> sizes;
-  std::stringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    sizes.push_back(static_cast<metricprox::ObjectId>(std::stoul(token)));
-  }
-  return sizes;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace metricprox;
   auto flags = Flags::Parse(argc, argv);
@@ -38,8 +23,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
-  const std::vector<ObjectId> sizes =
-      ParseSizes(flags->GetString("sizes", "8,10,12"));
+  const StatusOr<std::vector<ObjectId>> parsed_sizes =
+      benchutil::ParseSizes(flags->GetString("sizes", "8,10,12"));
+  if (!parsed_sizes.ok()) {
+    std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<ObjectId>& sizes = *parsed_sizes;
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   if (const Status s = flags->FailOnUnused(); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());

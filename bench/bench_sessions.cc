@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,16 +52,6 @@ using metricprox::SessionPool;
 using metricprox::SessionPoolOptions;
 using metricprox::Stopwatch;
 using metricprox::TriBounder;
-
-std::vector<ObjectId> ParseSizes(const std::string& csv) {
-  std::vector<ObjectId> sizes;
-  std::stringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    sizes.push_back(static_cast<ObjectId>(std::stoul(token)));
-  }
-  return sizes;
-}
 
 std::vector<double> KnnBlob(BoundedResolver* resolver) {
   std::vector<double> blob;
@@ -208,8 +197,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
-  const std::vector<ObjectId> sizes =
-      ParseSizes(flags->GetString("sizes", "96,192"));
+  const metricprox::StatusOr<std::vector<ObjectId>> parsed_sizes =
+      metricprox::benchutil::ParseSizes(flags->GetString("sizes", "96,192"));
+  if (!parsed_sizes.ok()) {
+    std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<ObjectId>& sizes = *parsed_sizes;
   const unsigned sessions =
       static_cast<unsigned>(flags->GetInt("sessions", 3));
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));

@@ -10,26 +10,11 @@
 // beats both landmark baselines.
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "harness/flags.h"
-
-namespace {
-
-std::vector<metricprox::ObjectId> ParseSizes(const std::string& csv) {
-  std::vector<metricprox::ObjectId> sizes;
-  std::stringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    sizes.push_back(static_cast<metricprox::ObjectId>(std::stoul(token)));
-  }
-  return sizes;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto flags = metricprox::Flags::Parse(argc, argv);
@@ -37,8 +22,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
-  const std::vector<metricprox::ObjectId> sizes =
-      ParseSizes(flags->GetString("sizes", "64,128,256,512,1024"));
+  const metricprox::StatusOr<std::vector<metricprox::ObjectId>> parsed_sizes =
+      metricprox::benchutil::ParseSizes(
+          flags->GetString("sizes", "64,128,256,512,1024"));
+  if (!parsed_sizes.ok()) {
+    std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<metricprox::ObjectId>& sizes = *parsed_sizes;
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   const metricprox::Status unused = flags->FailOnUnused();
   if (!unused.ok()) {

@@ -1,9 +1,13 @@
 #include "bench/common.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 
 #include "algo/clarans.h"
 #include "bounds/pivots.h"
@@ -17,6 +21,29 @@
 
 namespace metricprox {
 namespace benchutil {
+
+StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv) {
+  std::vector<ObjectId> sizes;
+  if (csv.empty()) return sizes;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = std::min(csv.find(',', begin), csv.size());
+    const std::string_view token(csv.data() + begin, end - begin);
+    ObjectId value = 0;
+    const auto [rest, error] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (token.empty() || error != std::errc() ||
+        rest != token.data() + token.size()) {
+      return Status::InvalidArgument(
+          "invalid --sizes entry '" + std::string(token) +
+          "': expected a comma-separated list of object counts in [0, " +
+          std::to_string(std::numeric_limits<ObjectId>::max()) + "]");
+    }
+    sizes.push_back(value);
+    if (end == csv.size()) return sizes;
+    begin = end + 1;
+  }
+}
 
 Workload PrimWorkload() {
   return [](BoundedResolver* resolver) {

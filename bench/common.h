@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/status.h"
 #include "data/datasets.h"
 #include "harness/experiment.h"
 
@@ -16,6 +17,11 @@ namespace benchutil {
 inline uint64_t PairCount(ObjectId n) {
   return static_cast<uint64_t>(n) * (n - 1) / 2;
 }
+
+/// Parses a --sizes flag value: comma-separated decimal object counts, ""
+/// being the empty list. An empty token, a character other than a digit or
+/// a value that does not fit ObjectId is InvalidArgument.
+StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv);
 
 /// Ready-made workloads (checksum = MST weight / total deviation / k-NN
 /// distance sum) so every bench can assert scheme-independence of results.

@@ -30,12 +30,14 @@ void DijkstraSolver::Solve(const PartialDistanceGraph& graph, ObjectId source,
     const ObjectId u = heap.Pop();
     // Settled entries never re-enter the heap because we only push a node
     // when the relaxation strictly improves its tentative distance.
-    for (const PartialDistanceGraph::Neighbor& nb : graph.Neighbors(u)) {
-      const double candidate = du + nb.distance;
-      if (candidate < (*out)[nb.id]) {
-        (*out)[nb.id] = candidate;
-        if (parent != nullptr) (*parent)[nb.id] = u;
-        heap.PushOrDecrease(nb.id, candidate);
+    const PartialDistanceGraph::AdjacencyColumns nbrs = graph.AdjacencyView(u);
+    for (size_t k = 0; k < nbrs.ids.size(); ++k) {
+      const ObjectId v = nbrs.ids[k];
+      const double candidate = du + nbrs.distances[k];
+      if (candidate < (*out)[v]) {
+        (*out)[v] = candidate;
+        if (parent != nullptr) (*parent)[v] = u;
+        heap.PushOrDecrease(v, candidate);
       }
     }
   }

@@ -4,80 +4,109 @@
 
 namespace metricprox {
 
-namespace {
-
-/// Splices (id, d) into the AoS list and the SoA columns at the same rank,
-/// keeping all three sorted by id in lockstep.
-void InsertSorted(std::vector<PartialDistanceGraph::Neighbor>* list,
-                  std::vector<ObjectId>* ids, std::vector<double>* dists,
-                  ObjectId id, double d) {
-  auto it = std::lower_bound(
-      list->begin(), list->end(), id,
-      [](const PartialDistanceGraph::Neighbor& n, ObjectId key) {
-        return n.id < key;
-      });
-  const size_t rank = static_cast<size_t>(it - list->begin());
-  list->insert(it, PartialDistanceGraph::Neighbor{id, d});
-  ids->insert(ids->begin() + rank, id);
-  dists->insert(dists->begin() + rank, d);
-}
-
-}  // namespace
-
 void PartialDistanceGraph::Insert(ObjectId i, ObjectId j, double d) {
   CHECK_NE(i, j) << "self-edge";
   CHECK_LT(i, num_objects());
   CHECK_LT(j, num_objects());
   CHECK_GE(d, 0.0) << "negative distance from oracle";
-  const bool inserted = edge_map_.emplace(EdgeKey(i, j), d).second;
-  CHECK(inserted) << "duplicate edge (" << i << ", " << j << ")";
-  InsertSorted(&adjacency_[i], &csr_ids_[i], &csr_dist_[i], j, d);
-  InsertSorted(&adjacency_[j], &csr_ids_[j], &csr_dist_[j], i, d);
-  edges_.push_back(WeightedEdge{i, j, d});
+  CHECK(Find(i, j) == nullptr) << "duplicate edge (" << i << ", " << j << ")";
+  const WeightedEdge e{i, j, d};
+  const HalfEdge to_j{i, j, 0};
+  const HalfEdge to_i{j, i, 0};
+  MergeRun(std::span(&to_j, 1), std::span(&e, 1));
+  MergeRun(std::span(&to_i, 1), std::span(&e, 1));
+  edges_.push_back(e);
 }
 
 void PartialDistanceGraph::InsertEdges(std::span<const WeightedEdge> batch) {
-  std::vector<ObjectId> touched;
-  touched.reserve(2 * batch.size());
   for (const WeightedEdge& e : batch) {
     CHECK_NE(e.u, e.v) << "self-edge";
     CHECK_LT(e.u, num_objects());
     CHECK_LT(e.v, num_objects());
     CHECK_GE(e.weight, 0.0) << "negative distance from oracle";
-    const auto [it, inserted] = edge_map_.emplace(EdgeKey(e.u, e.v), e.weight);
-    if (!inserted) {
-      // Exact duplicates are no-ops so a warm-start bulk load composes with
-      // edges the graph already holds (checkpoint resume, repeated loads).
-      // A *conflicting* distance still dies: two values for one pair means
-      // the edges come from different metric spaces.
-      CHECK_EQ(it->second, e.weight)
+  }
+  // Exact duplicates are no-ops so a warm-start bulk load composes with
+  // edges the graph already holds (checkpoint resume, repeated loads).
+  // A *conflicting* distance still dies: two values for one pair means
+  // the edges come from different metric spaces.
+  std::vector<bool> skip(batch.size(), false);
+  std::vector<HalfEdge> halves;
+  halves.reserve(2 * batch.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    const WeightedEdge& e = batch[k];
+    if (const double* known = Find(e.u, e.v)) {
+      CHECK_EQ(*known, e.weight)
           << "conflicting duplicate edge (" << e.u << ", " << e.v << ")";
+      skip[k] = true;
       continue;
     }
-    adjacency_[e.u].push_back(Neighbor{e.v, e.weight});
-    adjacency_[e.v].push_back(Neighbor{e.u, e.weight});
-    touched.push_back(e.u);
-    touched.push_back(e.v);
-    edges_.push_back(e);
+    halves.push_back(HalfEdge{e.u, e.v, k});
+    halves.push_back(HalfEdge{e.v, e.u, k});
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const ObjectId id : touched) {
-    std::sort(adjacency_[id].begin(), adjacency_[id].end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    RebuildColumns(id);
+  std::sort(halves.begin(), halves.end(),
+            [](const HalfEdge& a, const HalfEdge& b) {
+              if (a.node != b.node) return a.node < b.node;
+              if (a.id != b.id) return a.id < b.id;
+              return a.k < b.k;
+            });
+  // A pair repeated within the batch sorts into adjacent equal (node, id)
+  // entries at both endpoints; keeping the lowest k makes the first
+  // occurrence win at both.
+  size_t kept = 0;
+  for (const HalfEdge& h : halves) {
+    if (kept > 0 && halves[kept - 1].node == h.node &&
+        halves[kept - 1].id == h.id) {
+      const WeightedEdge& e = batch[h.k];
+      CHECK_EQ(batch[halves[kept - 1].k].weight, e.weight)
+          << "conflicting duplicate edge (" << e.u << ", " << e.v << ")";
+      skip[h.k] = true;
+      continue;
+    }
+    halves[kept++] = h;
+  }
+  halves.resize(kept);
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (!skip[k]) edges_.push_back(batch[k]);
+  }
+  const std::span<const HalfEdge> sorted(halves);
+  for (size_t begin = 0; begin < sorted.size();) {
+    size_t end = begin + 1;
+    while (end < sorted.size() && sorted[end].node == sorted[begin].node) {
+      ++end;
+    }
+    MergeRun(sorted.subspan(begin, end - begin), batch);
+    begin = end;
   }
 }
 
-void PartialDistanceGraph::RebuildColumns(ObjectId i) {
-  const std::vector<Neighbor>& list = adjacency_[i];
-  std::vector<ObjectId>& ids = csr_ids_[i];
-  std::vector<double>& dists = csr_dist_[i];
-  ids.resize(list.size());
-  dists.resize(list.size());
-  for (size_t k = 0; k < list.size(); ++k) {
-    ids[k] = list[k].id;
-    dists[k] = list[k].distance;
+void PartialDistanceGraph::MergeRun(std::span<const HalfEdge> run,
+                                    std::span<const WeightedEdge> batch) {
+  std::vector<ObjectId>& ids = ids_[run.front().node];
+  std::vector<double>& distances = distances_[run.front().node];
+  // Existing entries still to place are [0, old_end); the slots from `out`
+  // up are final.
+  size_t old_end = ids.size();
+  size_t out = old_end + run.size();
+  ids.resize(out);
+  distances.resize(out);
+  for (size_t r = run.size(); r-- > 0;) {
+    const ObjectId id = run[r].id;
+    // Appends (ids arriving in ascending order) skip the search.
+    const size_t pos =
+        old_end == 0 || ids[old_end - 1] < id
+            ? old_end
+            : static_cast<size_t>(
+                  std::upper_bound(ids.begin(), ids.begin() + old_end, id) -
+                  ids.begin());
+    // The existing entries above `id` shift up in one block.
+    std::move_backward(ids.begin() + pos, ids.begin() + old_end,
+                       ids.begin() + out);
+    std::move_backward(distances.begin() + pos, distances.begin() + old_end,
+                       distances.begin() + out);
+    out -= old_end - pos + 1;
+    old_end = pos;
+    ids[out] = id;
+    distances[out] = batch[run[r].k].weight;
   }
 }
 

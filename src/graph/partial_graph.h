@@ -3,7 +3,7 @@
 
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -14,22 +14,24 @@ namespace metricprox {
 /// Section 3.1): nodes are the n objects; an edge (i, j, d) exists once the
 /// oracle has been asked for dist(i, j) = d.
 ///
-/// Representation:
-///  * a hash map EdgeKey -> distance for O(1) lookups and duplicate checks;
-///  * per-node adjacency lists sorted by neighbor id, so the Tri Scheme can
-///    intersect two lists with a linear merge (the role played by the
-///    balanced BSTs in the paper; a flat sorted array gives the same
-///    O(deg_i + deg_j) intersection with better constants);
-///  * a CSR-style SoA mirror of those lists — per-node contiguous
-///    (neighbor_ids[], distances[]) column pairs, maintained incrementally
-///    on every insert — so the bound kernels (core/simd.h) can stream ids
-///    and distances separately instead of striding over Neighbor structs;
-///  * an append-only edge list for SPLUB's scan over known edges.
+/// One representation holds the whole graph: per node, two parallel
+/// columns (neighbor ids[], distances[]) sorted ascending by id, plus an
+/// append-only edge list for SPLUB's scan over known edges. The columns play
+/// the role of the paper's balanced BSTs:
+///  * Get/Has binary-search the id column of the lower-degree endpoint,
+///    O(log min(deg_i, deg_j));
+///  * the Tri Scheme intersects two columns with a linear merge,
+///    O(deg_i + deg_j), and the bound kernels (core/simd.h) stream ids and
+///    distances separately;
+///  * a write merges the new entries into each touched node's columns from
+///    the back, so every existing entry moves at most once per batch.
 ///
-/// Insertion cost is O(deg) for the sorted-vector splices plus O(1)
-/// amortized hashing; all bench workloads are read-dominated.
+/// Each edge is stored three times (both endpoints' columns and the edge
+/// list); there is no hash map.
 class PartialDistanceGraph {
  public:
+  /// One adjacency entry in (id, distance) form — the shape in which
+  /// ConcurrentDistanceGraph stages a node's additions.
   struct Neighbor {
     ObjectId id;
     double distance;
@@ -44,24 +46,20 @@ class PartialDistanceGraph {
   };
 
   explicit PartialDistanceGraph(ObjectId num_objects)
-      : adjacency_(num_objects),
-        csr_ids_(num_objects),
-        csr_dist_(num_objects) {}
+      : ids_(num_objects), distances_(num_objects) {}
 
-  ObjectId num_objects() const {
-    return static_cast<ObjectId>(adjacency_.size());
-  }
+  ObjectId num_objects() const { return static_cast<ObjectId>(ids_.size()); }
   size_t num_edges() const { return edges_.size(); }
 
-  bool Has(ObjectId i, ObjectId j) const {
-    return edge_map_.find(EdgeKey(i, j)) != edge_map_.end();
-  }
+  /// False for i == j and for out-of-range ids.
+  bool Has(ObjectId i, ObjectId j) const { return Find(i, j) != nullptr; }
 
-  /// The resolved distance, or nullopt if (i, j) is still unknown.
+  /// The resolved distance, or nullopt if (i, j) is still unknown (always
+  /// for i == j and for out-of-range ids).
   std::optional<double> Get(ObjectId i, ObjectId j) const {
-    auto it = edge_map_.find(EdgeKey(i, j));
-    if (it == edge_map_.end()) return std::nullopt;
-    return it->second;
+    const double* d = Find(i, j);
+    if (d == nullptr) return std::nullopt;
+    return *d;
   }
 
   /// Records dist(i, j) = d. CHECK-fails on duplicates, self-edges and
@@ -69,33 +67,29 @@ class PartialDistanceGraph {
   void Insert(ObjectId i, ObjectId j, double d);
 
   /// Bulk form of Insert for the batch resolution path and the store's
-  /// warm start: records every edge, but splices each touched adjacency
-  /// list once instead of once per edge. Unlike Insert, an exact duplicate
-  /// (same pair, same distance) — against the graph or within the batch —
-  /// is skipped silently, so a warm-start load followed by a resolver
-  /// insert of an already-known edge is a no-op; a duplicate with a
-  /// *different* distance still CHECK-fails. For duplicate-free batches the
-  /// final state (sorted adjacency, edge-map contents, edges() in span
-  /// order) is identical to inserting the edges one by one.
+  /// warm start. Unlike Insert, an exact duplicate (same pair, same
+  /// distance) — against the graph or within the batch — is skipped
+  /// silently, so a warm-start load followed by a resolver insert of an
+  /// already-known edge is a no-op; a duplicate with a *different* distance
+  /// still CHECK-fails. The first occurrence of a pair wins, and edges()
+  /// grows in batch order, so for duplicate-free batches the final state is
+  /// identical to inserting the edges one by one. Cost per touched node is
+  /// O(deg + b log b) for a batch of b edges.
   void InsertEdges(std::span<const WeightedEdge> batch);
 
-  /// Neighbors of i sorted ascending by id.
-  const std::vector<Neighbor>& Neighbors(ObjectId i) const {
-    DCHECK_LT(i, adjacency_.size());
-    return adjacency_[i];
+  /// Number of resolved edges incident to i.
+  size_t Degree(ObjectId i) const {
+    DCHECK_LT(i, ids_.size());
+    return ids_[i].size();
   }
 
-  /// Number of resolved edges incident to i.
-  size_t Degree(ObjectId i) const { return Neighbors(i).size(); }
-
-  /// SoA view of Neighbors(i): the same neighbors in the same (ascending-id)
-  /// order, as two parallel contiguous columns. This is the layout the
-  /// dispatched bound kernels consume; the invariant that it mirrors
-  /// Neighbors() exactly across every insert path is pinned by
-  /// partial_graph_test.
+  /// Node i's resolved neighbors as two parallel contiguous columns, sorted
+  /// strictly ascending by id — the layout the dispatched bound kernels
+  /// consume. partial_graph_test pins the invariants against a map model
+  /// across every insert path.
   AdjacencyColumns AdjacencyView(ObjectId i) const {
-    DCHECK_LT(i, csr_ids_.size());
-    return AdjacencyColumns{csr_ids_[i], csr_dist_[i]};
+    DCHECK_LT(i, ids_.size());
+    return AdjacencyColumns{ids_[i], distances_[i]};
   }
 
   /// All resolved edges in insertion order.
@@ -103,19 +97,19 @@ class PartialDistanceGraph {
 
   /// Calls fn(c, dist(i,c), dist(j,c)) for every common resolved neighbor c
   /// of i and j, i.e. every triangle whose missing edge is (i, j). Linear
-  /// merge over the two sorted adjacency lists.
+  /// merge over the two id columns.
   template <typename Fn>
   void ForEachCommonNeighbor(ObjectId i, ObjectId j, Fn&& fn) const {
-    const std::vector<Neighbor>& a = Neighbors(i);
-    const std::vector<Neighbor>& b = Neighbors(j);
+    const AdjacencyColumns a = AdjacencyView(i);
+    const AdjacencyColumns b = AdjacencyView(j);
     size_t x = 0;
     size_t y = 0;
-    while (x < a.size() && y < b.size()) {
-      if (a[x].id == b[y].id) {
-        fn(a[x].id, a[x].distance, b[y].distance);
+    while (x < a.ids.size() && y < b.ids.size()) {
+      if (a.ids[x] == b.ids[y]) {
+        fn(a.ids[x], a.distances[x], b.distances[y]);
         ++x;
         ++y;
-      } else if (a[x].id < b[y].id) {
+      } else if (a.ids[x] < b.ids[y]) {
         ++x;
       } else {
         ++y;
@@ -124,18 +118,43 @@ class PartialDistanceGraph {
   }
 
  private:
-  /// Re-derives node i's SoA columns from its (already sorted) AoS list.
-  /// O(deg) copy — the same cost as the sort or splice that preceded it.
-  void RebuildColumns(ObjectId i);
+  /// A new adjacency entry for `node`: neighbor `id`, with the distance
+  /// read from batch[k].weight.
+  struct HalfEdge {
+    ObjectId node;
+    ObjectId id;
+    size_t k;
+  };
 
-  std::vector<std::vector<Neighbor>> adjacency_;
-  // SoA mirror of adjacency_ (see AdjacencyView). Kept alongside the AoS
-  // lists rather than replacing them: Dijkstra-style consumers want the
-  // (id, distance) pairs interleaved, the kernels want them separated, and
-  // the duplication is bounded by the resolved-edge count.
-  std::vector<std::vector<ObjectId>> csr_ids_;
-  std::vector<std::vector<double>> csr_dist_;
-  std::unordered_map<EdgeKey, double, EdgeKeyHash> edge_map_;
+  /// The stored dist(i, j), or nullptr when unknown, i == j or out of
+  /// range. Binary-searches the id column of the lower-degree endpoint.
+  /// The search is branch-free (one conditional move per step): lookups
+  /// land at unpredictable ranks, where a branching search mispredicts
+  /// about every other step.
+  const double* Find(ObjectId i, ObjectId j) const {
+    if (i == j || i >= num_objects() || j >= num_objects()) return nullptr;
+    if (ids_[j].size() < ids_[i].size()) std::swap(i, j);
+    const std::vector<ObjectId>& ids = ids_[i];
+    if (ids.empty()) return nullptr;
+    // If j is present, it lies in [base, base + len).
+    const ObjectId* base = ids.data();
+    for (size_t len = ids.size(); len > 1;) {
+      const size_t half = len / 2;
+      base = base[half] <= j ? base + half : base;
+      len -= half;
+    }
+    if (*base != j) return nullptr;
+    return &distances_[i][static_cast<size_t>(base - ids.data())];
+  }
+
+  /// Merges `run` — new neighbors of one node, strictly ascending by id and
+  /// absent from its columns — into the columns from the back: O(deg +
+  /// |run| log deg), each existing entry moving at most once.
+  void MergeRun(std::span<const HalfEdge> run,
+                std::span<const WeightedEdge> batch);
+
+  std::vector<std::vector<ObjectId>> ids_;
+  std::vector<std::vector<double>> distances_;
   std::vector<WeightedEdge> edges_;
 };
 

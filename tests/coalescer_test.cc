@@ -62,7 +62,14 @@ TEST(CoalescerTest, ManualFlushResolvesEverySubmitterOnce) {
       statuses[w] = ResolveOne(&coalescer, submissions[w], &results[w]);
     });
   }
-  AwaitPending(coalescer, 2);  // symmetric dedup: only two distinct pairs
+  // Rendezvous on all four submitters: two distinct pairs pending (symmetric
+  // dedup) and both repeats of (1,2) joined onto them. Pending pairs alone
+  // reach 2 before the repeats arrive, and a repeat that arrived after the
+  // flush would enqueue a fresh (1,2) that nothing in manual mode ships.
+  while (coalescer.PendingPairs() != 2 ||
+         coalescer.counters().dedup_hits != 2) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(coalescer.FlushNow(), 2u);
   for (std::thread& t : waiters) t.join();
 

@@ -1,5 +1,8 @@
 #include "graph/partial_graph.h"
 
+#include <iterator>
+#include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <vector>
@@ -15,7 +18,25 @@ TEST(PartialGraphTest, EmptyGraphHasNoEdges) {
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_FALSE(g.Has(0, 1));
   EXPECT_FALSE(g.Get(0, 1).has_value());
-  EXPECT_TRUE(g.Neighbors(0).empty());
+  EXPECT_TRUE(g.AdjacencyView(0).ids.empty());
+}
+
+TEST(PartialGraphTest, SelfPairAndOutOfRangeIdsAreUnknown) {
+  PartialDistanceGraph g(4);
+  g.Insert(0, 1, 0.5);
+  g.Insert(1, 3, 0.25);
+  for (ObjectId i = 0; i < 4; ++i) {
+    EXPECT_FALSE(g.Has(i, i)) << i;
+    EXPECT_FALSE(g.Get(i, i).has_value()) << i;
+  }
+  for (const ObjectId out : {ObjectId{4}, ObjectId{1000}, kInvalidObject}) {
+    EXPECT_FALSE(g.Has(1, out)) << out;
+    EXPECT_FALSE(g.Has(out, 1)) << out;
+    EXPECT_FALSE(g.Get(1, out).has_value()) << out;
+    EXPECT_FALSE(g.Get(out, 1).has_value()) << out;
+    EXPECT_FALSE(g.Get(out, out).has_value()) << out;
+  }
+  EXPECT_EQ(g.Get(3, 1), 0.25);
 }
 
 TEST(PartialGraphTest, InsertIsSymmetric) {
@@ -36,11 +57,12 @@ TEST(PartialGraphTest, AdjacencySortedById) {
   g.Insert(3, 1, 0.2);
   g.Insert(3, 4, 0.3);
   g.Insert(3, 0, 0.4);
-  const auto& nbrs = g.Neighbors(3);
-  ASSERT_EQ(nbrs.size(), 4u);
-  for (size_t i = 1; i < nbrs.size(); ++i) {
-    EXPECT_LT(nbrs[i - 1].id, nbrs[i].id);
-  }
+  const PartialDistanceGraph::AdjacencyColumns nbrs = g.AdjacencyView(3);
+  ASSERT_EQ(nbrs.ids.size(), 4u);
+  EXPECT_EQ(std::vector<ObjectId>(nbrs.ids.begin(), nbrs.ids.end()),
+            (std::vector<ObjectId>{0, 1, 4, 5}));
+  EXPECT_EQ(std::vector<double>(nbrs.distances.begin(), nbrs.distances.end()),
+            (std::vector<double>{0.4, 0.2, 0.3, 0.1}));
 }
 
 TEST(PartialGraphTest, EdgesListPreservesInsertionOrder) {
@@ -93,12 +115,13 @@ TEST(PartialGraphTest, InsertEdgesMatchesSequentialInserts) {
     EXPECT_EQ(bulk.edges()[k], sequential.edges()[k]);
   }
   for (ObjectId i = 0; i < n; ++i) {
-    const auto& a = bulk.Neighbors(i);
-    const auto& b = sequential.Neighbors(i);
-    ASSERT_EQ(a.size(), b.size()) << "node " << i;
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].id, b[k].id);
-      EXPECT_DOUBLE_EQ(a[k].distance, b[k].distance);
+    const PartialDistanceGraph::AdjacencyColumns a = bulk.AdjacencyView(i);
+    const PartialDistanceGraph::AdjacencyColumns b =
+        sequential.AdjacencyView(i);
+    ASSERT_EQ(a.ids.size(), b.ids.size()) << "node " << i;
+    for (size_t k = 0; k < a.ids.size(); ++k) {
+      EXPECT_EQ(a.ids[k], b.ids[k]);
+      EXPECT_EQ(a.distances[k], b.distances[k]);
     }
     for (ObjectId j = 0; j < n; ++j) {
       if (i == j) continue;
@@ -127,10 +150,10 @@ TEST(PartialGraphTest, InsertEdgesExactDuplicateOfExistingIsNoOp) {
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.Get(2, 3), 0.25);
   EXPECT_EQ(g.Get(0, 2), 0.75);
-  // The adjacency list stays sorted and duplicate-free after the skip.
+  // The adjacency columns stay sorted and duplicate-free after the skip.
   ASSERT_EQ(g.Degree(2), 2u);
-  EXPECT_EQ(g.Neighbors(2)[0].id, 0u);
-  EXPECT_EQ(g.Neighbors(2)[1].id, 3u);
+  EXPECT_EQ(g.AdjacencyView(2).ids[0], 0u);
+  EXPECT_EQ(g.AdjacencyView(2).ids[1], 3u);
 }
 
 TEST(PartialGraphTest, InsertEdgesRepeatedBulkLoadIsIdempotent) {
@@ -161,19 +184,22 @@ TEST(PartialGraphTest, InsertEdgesConflictingWithinBatchDies) {
   EXPECT_DEATH(g.InsertEdges(batch), "conflicting duplicate");
 }
 
-// The CSR-style SoA mirror (AdjacencyView) must agree with the AoS
-// adjacency (Neighbors) after every mutation path: it is the operand the
-// SIMD tri-kernel reads, so a divergence would silently change bounds.
+// The adjacency columns (AdjacencyView) must stay well formed after every
+// mutation path: they are the operand the SIMD tri-kernel reads, so a
+// divergence would silently change bounds.
 void ExpectViewConsistent(const PartialDistanceGraph& g) {
+  size_t half_edges = 0;
   for (ObjectId i = 0; i < g.num_objects(); ++i) {
     const PartialDistanceGraph::AdjacencyColumns view = g.AdjacencyView(i);
-    const auto& nbrs = g.Neighbors(i);
-    ASSERT_EQ(view.ids.size(), nbrs.size()) << "node " << i;
-    ASSERT_EQ(view.distances.size(), nbrs.size()) << "node " << i;
-    for (size_t k = 0; k < nbrs.size(); ++k) {
-      EXPECT_EQ(view.ids[k], nbrs[k].id) << "node " << i << " slot " << k;
-      // Bitwise: the columns are copies of the same doubles, not recomputed.
-      EXPECT_EQ(view.distances[k], nbrs[k].distance)
+    ASSERT_EQ(view.ids.size(), view.distances.size()) << "node " << i;
+    ASSERT_EQ(view.ids.size(), g.Degree(i)) << "node " << i;
+    half_edges += view.ids.size();
+    for (size_t k = 0; k < view.ids.size(); ++k) {
+      // Bitwise: each column slot is the stored distance, readable from
+      // both endpoints.
+      EXPECT_EQ(g.Get(i, view.ids[k]), view.distances[k])
+          << "node " << i << " slot " << k;
+      EXPECT_EQ(g.Get(view.ids[k], i), view.distances[k])
           << "node " << i << " slot " << k;
     }
     // Strictly ascending ids — the merge-intersection kernel requires it.
@@ -181,6 +207,7 @@ void ExpectViewConsistent(const PartialDistanceGraph& g) {
       EXPECT_LT(view.ids[k - 1], view.ids[k]) << "node " << i;
     }
   }
+  EXPECT_EQ(half_edges, 2 * g.num_edges());
 }
 
 TEST(PartialGraphTest, AdjacencyViewEmptyForIsolatedNodes) {
@@ -269,6 +296,129 @@ TEST(PartialGraphTest, AdjacencyViewConsistentAfterWarmStartReload) {
       EXPECT_EQ(view.ids[k], ids_before[i][k]);
       EXPECT_EQ(view.distances[k], dist_before[i][k]);
     }
+  }
+}
+
+/// Checks every observable of `g` against the model: the resolved pairs
+/// with their distances, and the edges() order.
+void ExpectMatchesModel(const PartialDistanceGraph& g,
+                        const std::map<EdgeKey, double>& model,
+                        const std::vector<WeightedEdge>& model_edges) {
+  const ObjectId n = g.num_objects();
+  ASSERT_EQ(g.num_edges(), model.size());
+  ASSERT_EQ(g.edges(), model_edges);
+  std::vector<std::vector<ObjectId>> ids(n);
+  std::vector<std::vector<double>> distances(n);
+  // Map order is (lo, hi) ascending, so each node's neighbors arrive sorted:
+  // first those below it (keys (c, i), c ascending), then those above it
+  // (keys (i, c), c ascending).
+  for (const auto& [key, d] : model) {
+    ids[key.lo()].push_back(key.hi());
+    distances[key.lo()].push_back(d);
+    ids[key.hi()].push_back(key.lo());
+    distances[key.hi()].push_back(d);
+  }
+  for (ObjectId i = 0; i < n; ++i) {
+    const PartialDistanceGraph::AdjacencyColumns view = g.AdjacencyView(i);
+    EXPECT_EQ(g.Degree(i), ids[i].size()) << "node " << i;
+    ASSERT_EQ(std::vector<ObjectId>(view.ids.begin(), view.ids.end()), ids[i])
+        << "node " << i;
+    ASSERT_EQ(std::vector<double>(view.distances.begin(),
+                                  view.distances.end()),
+              distances[i])
+        << "node " << i;
+    for (size_t k = 1; k < view.ids.size(); ++k) {
+      ASSERT_LT(view.ids[k - 1], view.ids[k]) << "node " << i;
+    }
+    for (ObjectId j = 0; j < n; ++j) {
+      std::optional<double> want;
+      if (i != j) {
+        const auto it = model.find(EdgeKey(i, j));
+        if (it != model.end()) want = it->second;
+      }
+      ASSERT_EQ(g.Get(i, j), want) << "pair (" << i << ", " << j << ")";
+      ASSERT_EQ(g.Has(i, j), want.has_value())
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(PartialGraphTest, RandomInsertsMatchMapModel) {
+  // Random interleavings of Insert and InsertEdges against a map model.
+  // Batches mix fresh edges with exact repeats of earlier batch entries
+  // (same and flipped orientation) and of already-known edges; a mid-range
+  // hub node takes a third of all edges, so merges land below, between and
+  // above a long column's existing ids.
+  const ObjectId n = 40;
+  const ObjectId hub = 17;
+  for (const uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    PartialDistanceGraph g(n);
+    std::map<EdgeKey, double> model;
+    std::vector<WeightedEdge> model_edges;
+    const auto pick = [&](ObjectId bound) {
+      return static_cast<ObjectId>(rng() % bound);
+    };
+    // A random orientation of a pair absent from the model and from
+    // `taken` (the current batch), or false when none turned up.
+    const auto fresh_edge = [&](const std::set<EdgeKey>& taken,
+                                WeightedEdge* e) {
+      for (int attempt = 0; attempt < 50; ++attempt) {
+        const ObjectId a = pick(3) == 0 ? hub : pick(n);
+        const ObjectId b = pick(n);
+        if (a == b || model.count(EdgeKey(a, b)) != 0 ||
+            taken.count(EdgeKey(a, b)) != 0) {
+          continue;
+        }
+        const double d = 0.125 * static_cast<double>(pick(64) + 1);
+        *e = pick(2) == 0 ? WeightedEdge{a, b, d} : WeightedEdge{b, a, d};
+        return true;
+      }
+      return false;
+    };
+    const auto any_orientation = [&](const WeightedEdge& e) {
+      return pick(2) == 0 ? e : WeightedEdge{e.v, e.u, e.weight};
+    };
+    for (int step = 0; step < 80; ++step) {
+      if (pick(3) == 0) {
+        WeightedEdge e;
+        if (!fresh_edge({}, &e)) continue;
+        g.Insert(e.u, e.v, e.weight);
+        model.emplace(EdgeKey(e.u, e.v), e.weight);
+        model_edges.push_back(e);
+      } else {
+        std::vector<WeightedEdge> batch;
+        std::set<EdgeKey> taken;
+        const size_t size = pick(13);  // empty batches included
+        while (batch.size() < size) {
+          const ObjectId kind = pick(10);
+          if (kind < 2 && !batch.empty()) {
+            batch.push_back(any_orientation(batch[pick(
+                static_cast<ObjectId>(batch.size()))]));
+          } else if (kind < 4 && !model.empty()) {
+            auto it = model.begin();
+            std::advance(it, pick(static_cast<ObjectId>(model.size())));
+            batch.push_back(any_orientation(
+                WeightedEdge{it->first.lo(), it->first.hi(), it->second}));
+          } else {
+            WeightedEdge e;
+            if (!fresh_edge(taken, &e)) break;
+            taken.insert(EdgeKey(e.u, e.v));
+            batch.push_back(e);
+          }
+        }
+        g.InsertEdges(batch);
+        for (const WeightedEdge& e : batch) {
+          if (model.emplace(EdgeKey(e.u, e.v), e.weight).second) {
+            model_edges.push_back(e);
+          }
+        }
+      }
+      ExpectMatchesModel(g, model, model_edges);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(g.Degree(hub), n / 2);
   }
 }
 
