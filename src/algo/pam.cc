@@ -1,5 +1,6 @@
 #include "algo/pam.h"
 
+#include <numeric>
 #include <vector>
 
 #include "core/logging.h"
@@ -13,10 +14,9 @@ using medoid_internal::SwapDelta;
 
 namespace {
 
-// Lower bound shaved by the fp-safety margin, so early-abandon sums can
+// A lower bound shaved by the fp-safety margin, so early-abandon sums can
 // never discard a candidate that mathematically ties the incumbent.
-double SafeLowerBound(BoundedResolver* resolver, ObjectId a, ObjectId b) {
-  const double lo = resolver->Bounds(a, b).lo;
+double Shaved(double lo) {
   const double safe = lo - BoundDecisionMargin(lo);
   return safe > 0.0 ? safe : 0.0;
 }
@@ -27,12 +27,16 @@ ObjectId SelectFirstMedoid(BoundedResolver* resolver) {
   const ObjectId n = resolver->num_objects();
   ObjectId best = kInvalidObject;
   double best_sum = kInfDistance;
+  std::vector<ObjectId> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), ObjectId{0});
+  std::vector<Interval> bounds(n);
   std::vector<double> lbs(n);
 
   for (ObjectId c = 0; c < n; ++c) {
+    resolver->BoundsFrom(c, everyone, bounds);  // [0, 0] for j == c
     double remaining_lb = 0.0;
     for (ObjectId j = 0; j < n; ++j) {
-      lbs[j] = (j == c) ? 0.0 : SafeLowerBound(resolver, c, j);
+      lbs[j] = Shaved(bounds[j].lo);
       remaining_lb += lbs[j];
     }
     double sum = 0.0;
@@ -63,17 +67,21 @@ ObjectId SelectNextMedoid(BoundedResolver* resolver,
   const ObjectId n = resolver->num_objects();
   ObjectId best = kInvalidObject;
   double best_gain = -1.0;  // a valid candidate always has gain >= 0
-  std::vector<double> lbs(n);
+  // Objects already served at cost 0 can gain nothing; the rest, ascending.
+  std::vector<ObjectId> unserved;
+  for (ObjectId j = 0; j < n; ++j) {
+    if (dn[j] > 0.0) unserved.push_back(j);
+  }
+  std::vector<Interval> bounds(unserved.size());
+  std::vector<double> lbs(n, 0.0);
 
   for (ObjectId c = 0; c < n; ++c) {
     if (IsMedoid(medoids, c)) continue;
+    resolver->BoundsFrom(c, unserved, bounds);  // [0, 0] for j == c
     double potential = 0.0;
-    for (ObjectId j = 0; j < n; ++j) {
-      if (dn[j] <= 0.0) {
-        lbs[j] = 0.0;
-        continue;
-      }
-      lbs[j] = (j == c) ? 0.0 : SafeLowerBound(resolver, c, j);
+    for (size_t u = 0; u < unserved.size(); ++u) {
+      const ObjectId j = unserved[u];
+      lbs[j] = Shaved(bounds[u].lo);
       const double p = dn[j] - lbs[j];
       if (p > 0.0) potential += p;
     }

@@ -14,24 +14,14 @@ struct Candidate {
   ObjectId id;
 };
 
-std::vector<Candidate> CandidatesByLowerBound(BoundedResolver* resolver,
-                                              ObjectId query) {
-  const ObjectId n = resolver->num_objects();
-  std::vector<Candidate> candidates;
-  candidates.reserve(n - 1);
-  for (ObjectId v = 0; v < n; ++v) {
-    if (v == query) continue;
-    candidates.push_back(Candidate{resolver->Bounds(query, v).lo, v});
+// Heap order for std::make_heap / std::pop_heap: the top is the smallest
+// (lower bound, id), so pops come out in ascending total order.
+struct CandidateAfter {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    if (a.lower_bound != b.lower_bound) return a.lower_bound > b.lower_bound;
+    return a.id > b.id;
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.lower_bound != b.lower_bound) {
-                return a.lower_bound < b.lower_bound;
-              }
-              return a.id < b.id;
-            });
-  return candidates;
-}
+};
 
 struct HeapLess {
   bool operator()(const KnnNeighbor& a, const KnnNeighbor& b) const {
@@ -56,35 +46,60 @@ std::vector<KnnNeighbor> KnnSearch(BoundedResolver* resolver, ObjectId query,
   CHECK_GT(n, k);
   CHECK_LT(query, n);
 
-  const std::vector<Candidate> candidates =
-      CandidatesByLowerBound(resolver, query);
+  // One bound pass over the row (query, ·) orders every candidate; the
+  // heap hands them out lazily, in (lower bound, id) order.
+  std::vector<ObjectId> targets;
+  targets.reserve(n - 1);
+  for (ObjectId v = 0; v < n; ++v) {
+    if (v != query) targets.push_back(v);
+  }
+  std::vector<Interval> bounds(targets.size());
+  resolver->BoundsFrom(query, targets, bounds);
+  std::vector<Candidate> candidates(targets.size());
+  for (size_t c = 0; c < targets.size(); ++c) {
+    candidates[c] = Candidate{bounds[c].lo, targets[c]};
+  }
+  std::make_heap(candidates.begin(), candidates.end(), CandidateAfter());
+  const auto pop_nearest = [&candidates] {
+    std::pop_heap(candidates.begin(), candidates.end(), CandidateAfter());
+    const Candidate next = candidates.back();
+    candidates.pop_back();
+    return next;
+  };
 
   // Seed the heap with the first k candidates, resolved in one batch.
   std::priority_queue<KnnNeighbor, std::vector<KnnNeighbor>, HeapLess> best;
   std::vector<IdPair> batch;
-  for (size_t c = 0; c < k; ++c) {
-    batch.push_back(IdPair{query, candidates[c].id});
+  for (uint32_t c = 0; c < k; ++c) {
+    batch.push_back(IdPair{query, pop_nearest().id});
   }
   resolver->ResolveAll(batch);
-  for (size_t c = 0; c < k; ++c) {
-    const ObjectId v = candidates[c].id;
-    best.push(KnnNeighbor{v, resolver->Distance(query, v)});
+  for (const IdPair& p : batch) {
+    best.push(KnnNeighbor{p.j, resolver->Distance(query, p.j)});
   }
 
   // Chunked rounds over the remaining candidates: a bounds-only sweep
   // against the current k-th distance, one batched resolution of the
   // survivors, then sequential admits under the (distance, id) tie rule.
+  // The first candidate whose ordering lower bound already clears the
+  // threshold ends the scan: every later one has a lower bound at least as
+  // large, and the threshold only shrinks, so all of them are farther.
   std::vector<ObjectId> survivors;
-  for (size_t begin = k; begin < candidates.size(); begin += kKnnChunk) {
-    const size_t end = std::min(candidates.size(), begin + kKnnChunk);
+  bool rest_farther = false;
+  while (!candidates.empty() && !rest_farther) {
     const double t = best.top().distance;
+    const double cutoff = t + BoundDecisionMargin(t);
     batch.clear();
     survivors.clear();
-    for (size_t c = begin; c < end; ++c) {
-      const ObjectId v = candidates[c].id;
-      if (resolver->ProvenGreaterThan(query, v, t)) continue;
-      batch.push_back(IdPair{query, v});
-      survivors.push_back(v);
+    for (size_t c = 0; c < kKnnChunk && !candidates.empty(); ++c) {
+      const Candidate next = pop_nearest();
+      if (next.lower_bound > cutoff) {
+        rest_farther = true;
+        break;
+      }
+      if (resolver->ProvenGreaterThan(query, next.id, t)) continue;
+      batch.push_back(IdPair{query, next.id});
+      survivors.push_back(next.id);
     }
     resolver->ResolveAll(batch);
     for (const ObjectId v : survivors) {

@@ -12,9 +12,12 @@ namespace metricprox {
 
 /// Exact k-nearest-neighbor query for a single object — the workload LAESA
 /// was originally designed for, re-authored against the bound framework.
-/// Candidates are visited in ascending lower-bound order; each is admitted
-/// through a proven-farther test, so the scheme discards most of them
-/// without an oracle call once the running k-th distance is small.
+/// One BoundsFrom pass bounds every candidate; they are then visited
+/// lazily in ascending (lower bound, id) order, each admitted through a
+/// proven-farther test, and the scan stops at the first candidate whose
+/// ordering lower bound already clears the running k-th distance — so the
+/// scheme discards most candidates without an oracle call, and most
+/// without even a comparison.
 ///
 /// Returns the k nearest (distance, id)-lexicographic neighbors of `query`,
 /// ascending — identical to a brute-force scan.

@@ -2,9 +2,11 @@
 #define METRICPROX_BOUNDS_HYBRID_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "check/certificate.h"
 #include "core/bounder.h"
@@ -35,13 +37,19 @@ class HybridBounder : public Bounder {
   std::string_view name() const override { return name_; }
 
   Interval Bounds(ObjectId i, ObjectId j) override {
-    const Interval a = first_->Bounds(i, j);
-    const Interval b = second_->Bounds(i, j);
-    double lo = a.lo > b.lo ? a.lo : b.lo;
-    const double hi = a.hi < b.hi ? a.hi : b.hi;
-    // Disjoint only through floating-point noise: both contain the truth.
-    if (lo > hi) lo = hi;
-    return Interval(lo, hi);
+    return Intersect(first_->Bounds(i, j), second_->Bounds(i, j));
+  }
+
+  /// Each child bounds the whole row once; the rows are intersected pair by
+  /// pair exactly as Bounds() intersects one pair.
+  void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
+                  std::span<Interval> out) override {
+    second_row_.resize(targets.size());
+    first_->BoundsFrom(q, targets, out);
+    second_->BoundsFrom(q, targets, second_row_);
+    for (size_t k = 0; k < targets.size(); ++k) {
+      out[k] = Intersect(out[k], second_row_[k]);
+    }
   }
 
   void OnEdgeResolved(ObjectId i, ObjectId j, double d) override {
@@ -74,9 +82,18 @@ class HybridBounder : public Bounder {
   }
 
  private:
+  static Interval Intersect(const Interval& a, const Interval& b) {
+    double lo = a.lo > b.lo ? a.lo : b.lo;
+    const double hi = a.hi < b.hi ? a.hi : b.hi;
+    // Disjoint only through floating-point noise: both contain the truth.
+    if (lo > hi) lo = hi;
+    return Interval(lo, hi);
+  }
+
   std::unique_ptr<Bounder> first_;
   std::unique_ptr<Bounder> second_;
   std::string name_;
+  std::vector<Interval> second_row_;  // BoundsFrom scratch
 };
 
 }  // namespace metricprox

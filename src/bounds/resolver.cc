@@ -216,6 +216,33 @@ Interval BoundedResolver::Bounds(ObjectId i, ObjectId j) {
   return bounds;
 }
 
+void BoundedResolver::BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
+                                 std::span<Interval> out) {
+  CHECK_EQ(targets.size(), out.size());
+  row_targets_.clear();
+  row_slots_.clear();
+  for (size_t k = 0; k < targets.size(); ++k) {
+    const ObjectId v = targets[k];
+    if (v == q) {
+      out[k] = Interval::Exact(0.0);
+    } else if (const std::optional<double> cached = graph_->Get(q, v)) {
+      out[k] = Interval::Exact(*cached);
+    } else {
+      row_targets_.push_back(v);
+      row_slots_.push_back(k);
+    }
+  }
+  if (row_targets_.empty()) return;
+  row_bounds_.resize(row_targets_.size());
+  stats_.bound_queries += row_targets_.size();
+  Stopwatch watch;
+  bounder_->BoundsFrom(q, row_targets_, row_bounds_);
+  stats_.bounder_seconds += watch.ElapsedSeconds();
+  for (size_t s = 0; s < row_slots_.size(); ++s) {
+    out[row_slots_[s]] = row_bounds_[s];
+  }
+}
+
 bool BoundedResolver::LessThan(ObjectId i, ObjectId j, double t) {
   ++stats_.comparisons;
   Trace(TraceEventKind::kComparison, i, j, t);

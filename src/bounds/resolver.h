@@ -123,6 +123,14 @@ class BoundedResolver {
   /// Current bound interval: exact for resolved pairs, else the scheme's.
   Interval Bounds(ObjectId i, ObjectId j);
 
+  /// One-to-many Bounds: out[k] is bit for bit Bounds(q, targets[k]) —
+  /// Exact(0) for targets[k] == q, Exact(d) for resolved pairs — with every
+  /// remaining target bounded by the scheme in one Bounder::BoundsFrom
+  /// call. Counts one bound query per unresolved target, as the per-pair
+  /// loop would. `out` has the length of `targets`.
+  void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
+                  std::span<Interval> out);
+
   /// Truth of `dist(i, j) < t`, resolving the pair only when the scheme
   /// cannot decide (the paper's re-authored IF statement against a known
   /// threshold — the dominant pattern in Prim, k-NN and PAM/CLARANS).
@@ -311,6 +319,11 @@ class BoundedResolver {
   ResolutionPolicy policy_;         // default = exact mode
   uint64_t budget_spent_ = 0;
   bool batch_transport_ = true;
+  // BoundsFrom scratch: the unresolved targets, their slots in the caller's
+  // row, and the scheme's intervals for them.
+  std::vector<ObjectId> row_targets_;
+  std::vector<size_t> row_slots_;
+  std::vector<Interval> row_bounds_;
   int fallible_depth_ = 0;
   Status oracle_status_;
 };

@@ -1,7 +1,10 @@
 #ifndef METRICPROX_BOUNDS_TRI_H_
 #define METRICPROX_BOUNDS_TRI_H_
 
+#include <optional>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "check/certificate.h"
 #include "core/bounder.h"
@@ -23,6 +26,22 @@ namespace metricprox {
 ///
 /// Bounds are looser than SPLUB's (paths longer than 2 are ignored) but the
 /// scheme is the paper's recommended practical plug-in for large inputs.
+///
+/// A whole row (q, targets) is bounded in one pass by BoundsFrom, with one
+/// of two strategies from core/simd.h, bit-identical to each other and to
+/// the per-pair merge:
+///  * scatter walks every neighbor c of q and c's column once, reducing
+///    each triangle into per-target accumulators — Σ_{c ∈ N(q)} deg c
+///    entries however many targets there are;
+///  * gather expands q's column into a dense row and walks each target's
+///    column against it — Σ_v deg v entries.
+/// Each call takes the one with fewer entries, counted from Degree(): a
+/// sparse graph bounded against every object (kNN candidate ordering)
+/// scatters, a dense graph bounded against a few unresolved targets (the
+/// PAM swap sweep) gathers. There is no option to pin either. DecideBatch
+/// routes a batch whose pairs all share one endpoint — Prim's key update,
+/// PAM's swap sweep — through BoundsFrom; any other batch takes the
+/// per-pair loop.
 ///
 /// The paper's Characteristic 1 admits *relaxed* triangle inequalities:
 ///     dist(i, j) <= rho * (dist(i, c) + dist(c, j)),  rho >= 1
@@ -59,6 +78,54 @@ class TriBounder : public Bounder {
                                 a.ids.size(), b.ids.data(),
                                 b.distances.data(), b.ids.size(), rho_,
                                 &scratch_);
+  }
+
+  /// One pass over the row (q, targets): scatter or gather, whichever walks
+  /// fewer column entries (see the class comment).
+  void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
+                  std::span<Interval> out) override {
+    const simd::TriColumn source = Column(q);
+    size_t scatter_cost = 0;
+    for (size_t x = 0; x < source.size; ++x) {
+      scatter_cost += graph_->Degree(source.ids[x]);
+    }
+    size_t gather_cost = 0;
+    for (const ObjectId v : targets) gather_cost += graph_->Degree(v);
+    columns_.clear();
+    if (scatter_cost <= gather_cost) {
+      for (size_t x = 0; x < source.size; ++x) {
+        columns_.push_back(Column(source.ids[x]));
+      }
+      simd::TriScatterBounds(source, columns_, targets, rho_,
+                             graph_->num_objects(), &scratch_, out);
+    } else {
+      for (const ObjectId v : targets) columns_.push_back(Column(v));
+      simd::TriGatherBounds(source, columns_, rho_, graph_->num_objects(),
+                            &scratch_, out);
+    }
+  }
+
+  /// A batch whose pairs all share one endpoint is one BoundsFrom row plus
+  /// the base DecideLessThan rule per pair (Tri's interval is symmetric in
+  /// its two endpoints, so the shared one may sit on either side); any
+  /// other batch takes the base per-pair loop.
+  void DecideBatch(std::span<const IdPair> pairs,
+                   std::span<const double> thresholds,
+                   std::span<std::optional<bool>> out) override {
+    const ObjectId shared = SharedEndpoint(pairs);
+    if (shared == kInvalidObject) {
+      Bounder::DecideBatch(pairs, thresholds, out);
+      return;
+    }
+    others_.resize(pairs.size());
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      others_[k] = pairs[k].i == shared ? pairs[k].j : pairs[k].i;
+    }
+    bounds_.resize(pairs.size());
+    BoundsFrom(shared, others_, bounds_);
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      out[k] = DecideLessThanFrom(bounds_[k], thresholds[k]);
+    }
   }
 
   void OnEdgeResolved(ObjectId, ObjectId, double) override {}
@@ -123,9 +190,34 @@ class TriBounder : public Bounder {
   double rho() const { return rho_; }
 
  private:
+  simd::TriColumn Column(ObjectId i) const {
+    const PartialDistanceGraph::AdjacencyColumns c = graph_->AdjacencyView(i);
+    return simd::TriColumn{c.ids.data(), c.distances.data(), c.ids.size()};
+  }
+
+  /// The endpoint every pair contains, or kInvalidObject if there is none
+  /// (or the batch is empty). Only the first pair's endpoints can qualify.
+  static ObjectId SharedEndpoint(std::span<const IdPair> pairs) {
+    if (pairs.empty()) return kInvalidObject;
+    const auto shared_by_all = [pairs](ObjectId s) {
+      for (const IdPair& p : pairs) {
+        if (p.i != s && p.j != s) return false;
+      }
+      return true;
+    };
+    if (shared_by_all(pairs[0].i)) return pairs[0].i;
+    if (shared_by_all(pairs[0].j)) return pairs[0].j;
+    return kInvalidObject;
+  }
+
   const PartialDistanceGraph* graph_;  // not owned
   double rho_;
+  // Per-instance scratch (see Bounds()): kernel buffers, the column views a
+  // BoundsFrom call walks, and DecideBatch's row.
   simd::TriScratch scratch_;
+  std::vector<simd::TriColumn> columns_;
+  std::vector<ObjectId> others_;
+  std::vector<Interval> bounds_;
 };
 
 }  // namespace metricprox

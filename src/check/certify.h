@@ -51,6 +51,10 @@ class CertifyingBounder : public Bounder {
   Interval Bounds(ObjectId i, ObjectId j) override {
     return inner_->Bounds(i, j);
   }
+  void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
+                  std::span<Interval> out) override {
+    inner_->BoundsFrom(q, targets, out);
+  }
   void OnEdgeResolved(ObjectId i, ObjectId j, double d) override {
     inner_->OnEdgeResolved(i, j, d);
   }

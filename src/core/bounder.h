@@ -80,6 +80,19 @@ class Bounder {
   /// Non-const because schemes may maintain internal caches.
   virtual Interval Bounds(ObjectId i, ObjectId j) = 0;
 
+  /// One-to-many form of the BOUNDS problem: out[k] = Bounds(q, targets[k])
+  /// for every k. Rows (q, ·) bounded against an unchanged graph are the
+  /// shape of kNN candidate ordering, PAM BUILD and the one-endpoint sweeps
+  /// of Prim and PAM SWAP; a scheme whose per-pair cost has a part shared
+  /// across the row overrides this to pay it once. The caller guarantees of
+  /// Bounds() hold for every target (targets[k] != q, pair unresolved), and
+  /// `out` has the length of `targets`. The default loops Bounds(); overrides
+  /// must be bit-identical to that loop.
+  virtual void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
+                          std::span<Interval> out) {
+    for (size_t k = 0; k < targets.size(); ++k) out[k] = Bounds(q, targets[k]);
+  }
+
   /// Notification that dist(i, j) = d has been resolved and inserted into
   /// the shared PartialDistanceGraph (the UPDATE problem).
   virtual void OnEdgeResolved(ObjectId i, ObjectId j, double d) = 0;
@@ -99,7 +112,13 @@ class Bounder {
   /// Bounds(); DFT overrides this with an LP feasibility test.
   virtual std::optional<bool> DecideLessThan(ObjectId i, ObjectId j,
                                              double t) {
-    const Interval b = Bounds(i, j);
+    return DecideLessThanFrom(Bounds(i, j), t);
+  }
+
+  /// The interval rule behind the default DecideLessThan: `dist < t` is
+  /// decided when `b` clears `t` by the safety margin. Batch overrides that
+  /// obtain their intervals another way (BoundsFrom) apply this same rule.
+  static std::optional<bool> DecideLessThanFrom(const Interval& b, double t) {
     const double margin = BoundDecisionMargin(t);
     if (b.hi < t - margin) return true;
     if (b.lo >= t + margin) return false;
@@ -240,6 +259,10 @@ class NullBounder : public Bounder {
   std::string_view name() const override { return "none"; }
   Interval Bounds(ObjectId, ObjectId) override {
     return Interval::Unbounded();
+  }
+  void BoundsFrom(ObjectId, std::span<const ObjectId>,
+                  std::span<Interval> out) override {
+    std::fill(out.begin(), out.end(), Interval::Unbounded());
   }
   void OnEdgeResolved(ObjectId, ObjectId, double) override {}
 };

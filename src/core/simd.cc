@@ -500,5 +500,84 @@ Interval TriMergeBounds(const ObjectId* ids_a, const double* dist_a, size_t na,
                                     di_scratch.size(), rho, 1.0 / rho);
 }
 
+void TriScatterBounds(TriColumn q, std::span<const TriColumn> neighbor_columns,
+                      std::span<const ObjectId> targets, double rho,
+                      size_t num_objects, TriScratch* scratch,
+                      std::span<Interval> out) {
+  DCHECK_EQ(neighbor_columns.size(), q.size);
+  DCHECK_EQ(targets.size(), out.size());
+  std::vector<double>& lb = scratch->lb;
+  std::vector<double>& ub = scratch->ub;
+  if (lb.size() < num_objects) {
+    lb.resize(num_objects, 0.0);
+    ub.resize(num_objects, kInfDistance);
+  }
+  for (const ObjectId v : targets) {
+    lb[v] = 0.0;
+    ub[v] = kInfDistance;
+  }
+  // Every entry of every walked column is reduced, target or not: a
+  // membership test would cost a branch per entry, a non-target's
+  // accumulator is never read, and a target's is reset above on every
+  // call. The update is the reference rule (`if (gap > lb) lb = gap`) in
+  // conditional-move form.
+  const double inv_rho = 1.0 / rho;
+  for (size_t x = 0; x < q.size; ++x) {
+    const double a = q.distances[x];
+    const TriColumn& c = neighbor_columns[x];
+    for (size_t y = 0; y < c.size; ++y) {
+      const ObjectId v = c.ids[y];
+      const double b = c.distances[y];
+      const double gap_ij = a * inv_rho - b;
+      const double gap_ji = b * inv_rho - a;
+      const double gap = gap_ij > gap_ji ? gap_ij : gap_ji;
+      lb[v] = gap > lb[v] ? gap : lb[v];
+      const double sum = rho * (a + b);
+      ub[v] = sum < ub[v] ? sum : ub[v];
+    }
+  }
+  for (size_t k = 0; k < targets.size(); ++k) {
+    out[k] = FinishInterval(lb[targets[k]], ub[targets[k]]);
+  }
+}
+
+void TriGatherBounds(TriColumn q, std::span<const TriColumn> target_columns,
+                     double rho, size_t num_objects, TriScratch* scratch,
+                     std::span<Interval> out) {
+  DCHECK_EQ(target_columns.size(), out.size());
+  std::vector<double>& row = scratch->row;
+  std::vector<uint8_t>& in_row = scratch->in_row;
+  if (row.size() < num_objects) {
+    row.resize(num_objects, 0.0);
+    in_row.resize(num_objects, 0);
+  }
+  for (size_t x = 0; x < q.size; ++x) {
+    row[q.ids[x]] = q.distances[x];
+    in_row[q.ids[x]] = 1;
+  }
+  std::vector<double>& di = scratch->di;
+  std::vector<double>& dj = scratch->dj;
+  const auto tri_reduce = ActiveKernels().tri_reduce;
+  const double inv_rho = 1.0 / rho;
+  for (size_t k = 0; k < target_columns.size(); ++k) {
+    const TriColumn& v = target_columns[k];
+    if (di.size() < v.size) {
+      di.resize(v.size);
+      dj.resize(v.size);
+    }
+    // Every entry is written; only a common neighbor advances the cursor,
+    // so the matched sides land contiguously in ascending id order.
+    size_t m = 0;
+    for (size_t y = 0; y < v.size; ++y) {
+      const ObjectId c = v.ids[y];
+      di[m] = row[c];
+      dj[m] = v.distances[y];
+      m += in_row[c];
+    }
+    out[k] = tri_reduce(di.data(), dj.data(), m, rho, inv_rho);
+  }
+  for (size_t x = 0; x < q.size; ++x) in_row[q.ids[x]] = 0;
+}
+
 }  // namespace simd
 }  // namespace metricprox

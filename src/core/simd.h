@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -101,17 +102,26 @@ const KernelTable& ActiveKernels();
 /// and benches compare tiers side by side without flipping the global.
 const KernelTable& KernelsForTier(Tier tier);
 
-/// Caller-owned scratch for TriMergeBounds: the matched triangle sides of
-/// the merge-intersection, kept contiguous so the reduction clamps once
-/// over the whole intersection. Callers (TriBounder holds one per
-/// instance) reuse the same scratch across calls so the capacity is paid
-/// once; distinct resolvers/sessions own distinct scratch, so concurrent
-/// bound scans never share mutable state through this layer (the previous
-/// function-local `thread_local` hid per-thread buffers that outlived the
-/// bounders using them and coupled every resolver on a thread).
+/// Caller-owned scratch for the Tri bound strategies below. Callers
+/// (TriBounder holds one per instance) reuse the same scratch across calls
+/// so every capacity is paid once; distinct resolvers/sessions own distinct
+/// scratch, so concurrent bound scans never share mutable state through
+/// this layer (the previous function-local `thread_local` hid per-thread
+/// buffers that outlived the bounders using them and coupled every resolver
+/// on a thread).
 struct TriScratch {
+  /// The matched triangle sides of one intersection, kept contiguous so the
+  /// reduction clamps once over the whole of it (TriMergeBounds and
+  /// TriGatherBounds).
   std::vector<double> di;
   std::vector<double> dj;
+  /// TriScatterBounds' per-object accumulators, indexed by object id.
+  std::vector<double> lb;
+  std::vector<double> ub;
+  /// TriGatherBounds' dense copy of the source's column, indexed by object
+  /// id, with in_row[c] = 1 exactly for the source's neighbors.
+  std::vector<double> row;
+  std::vector<uint8_t> in_row;
 };
 
 /// Convenience wrapper for the Tri bounder: merge-intersects two adjacency
@@ -124,6 +134,38 @@ Interval TriMergeBounds(const ObjectId* ids_a, const double* dist_a,
                         size_t na, const ObjectId* ids_b,
                         const double* dist_b, size_t nb, double rho,
                         TriScratch* scratch);
+
+/// One node's adjacency column in the graph's SoA layout: `size` neighbor
+/// ids sorted strictly ascending, with their distances alongside.
+struct TriColumn {
+  const ObjectId* ids = nullptr;
+  const double* distances = nullptr;
+  size_t size = 0;
+};
+
+/// The two one-to-many strategies behind TriBounder::BoundsFrom: for a
+/// source column `q` and every target v, out[k] is exactly what
+/// TriMergeBounds(q, column of v) returns on any tier. Both visit each
+/// target's common neighbors with q in ascending id order and reduce them
+/// with the reference rule, so the choice between them is a cost decision
+/// only. Object ids index scratch arrays of `num_objects` entries.
+///
+/// Scatter walks each neighbor c of q and c's own column once,
+/// max/min-reducing every triangle (q, c, v) into per-object accumulators:
+/// O(Σ_{c ∈ N(q)} deg c), independent of the number of targets.
+/// `neighbor_columns[x]` is the column of node q.ids[x].
+void TriScatterBounds(TriColumn q, std::span<const TriColumn> neighbor_columns,
+                      std::span<const ObjectId> targets, double rho,
+                      size_t num_objects, TriScratch* scratch,
+                      std::span<Interval> out);
+
+/// Gather expands q's column into a dense row once, then walks each target's
+/// column against it without branching and hands the matched sides to the
+/// active tri_reduce kernel: O(deg q + Σ_v deg v). `target_columns[k]` is
+/// the column of the k-th target.
+void TriGatherBounds(TriColumn q, std::span<const TriColumn> target_columns,
+                     double rho, size_t num_objects, TriScratch* scratch,
+                     std::span<Interval> out);
 
 }  // namespace simd
 }  // namespace metricprox

@@ -30,6 +30,8 @@ bool ConcurrentDistanceGraph::Has(ObjectId i, ObjectId j) const {
 
 std::optional<double> ConcurrentDistanceGraph::Get(ObjectId i,
                                                    ObjectId j) const {
+  // A self-pair is never an edge (and EdgeKey DCHECKs i != j).
+  if (i == j) return std::nullopt;
   const EdgeKey key(i, j);
   const EdgeShard& shard = edge_shards_[EdgeShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -77,7 +77,8 @@ class ConcurrentDistanceGraph {
   /// provably disjoint / deliberately colliding workloads).
   size_t NodeShardOf(ObjectId i) const { return i % num_shards_; }
 
-  /// Thread-safe point lookups against the striped edge map.
+  /// Thread-safe point lookups against the striped edge map. False/nullopt
+  /// for i == j, like PartialDistanceGraph.
   bool Has(ObjectId i, ObjectId j) const;
   std::optional<double> Get(ObjectId i, ObjectId j) const;
 

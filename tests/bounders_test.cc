@@ -1,5 +1,7 @@
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -139,13 +141,59 @@ TEST_P(BounderPropertyTest, BoundsAlwaysContainTrueDistance) {
   }
 }
 
+// The one-to-many verb is the per-pair loop, bit for bit: through the
+// resolver (q itself and resolved targets included, repeats allowed) every
+// interval matches Bounds(), and bound_queries advances by the same count.
+TEST_P(BounderPropertyTest, BoundsFromMatchesPerPairBounds) {
+  const auto [kind, seed] = GetParam();
+  const ObjectId n = 24;
+  ResolverStack stack = MakeRandomStack(n, seed);
+  SchemeOptions options;
+  options.seed = seed;
+  auto bounder = MakeAndAttachScheme(kind, stack.resolver.get(), options);
+  ASSERT_TRUE(bounder.ok()) << bounder.status();
+  ResolveRandomPairs(stack.resolver.get(), 60, seed + 1);
+
+  std::vector<ObjectId> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), ObjectId{0});
+  const std::vector<ObjectId> subset = {5, 1, 17, 1, 23, 0, 12};
+  const ResolverStats& stats = stack.resolver->stats();
+  for (ObjectId q = 0; q < n; ++q) {
+    const std::vector<ObjectId>* const rows[] = {&everyone, &subset};
+    for (const std::vector<ObjectId>* targets : rows) {
+      const uint64_t before = stats.bound_queries;
+      std::vector<Interval> want(targets->size());
+      for (size_t k = 0; k < targets->size(); ++k) {
+        want[k] = stack.resolver->Bounds(q, (*targets)[k]);
+      }
+      const uint64_t per_pair = stats.bound_queries - before;
+      std::vector<Interval> got(targets->size());
+      stack.resolver->BoundsFrom(q, *targets, got);
+      EXPECT_EQ(stats.bound_queries - before - per_pair, per_pair)
+          << SchemeKindName(kind) << " q=" << q;
+      for (size_t k = 0; k < targets->size(); ++k) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[k].lo),
+                  std::bit_cast<uint64_t>(want[k].lo))
+            << SchemeKindName(kind) << " (" << q << "," << (*targets)[k]
+            << ")";
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[k].hi),
+                  std::bit_cast<uint64_t>(want[k].hi))
+            << SchemeKindName(kind) << " (" << q << "," << (*targets)[k]
+            << ")";
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, BounderPropertyTest,
     ::testing::Combine(::testing::Values(SchemeKind::kTri, SchemeKind::kSplub,
                                          SchemeKind::kAdm,
                                          SchemeKind::kAdmClassic,
                                          SchemeKind::kLaesa,
-                                         SchemeKind::kTlaesa),
+                                         SchemeKind::kTlaesa,
+                                         SchemeKind::kHybrid,
+                                         SchemeKind::kNone),
                        ::testing::Values(1001, 2002, 3003)));
 
 class TightestBoundsTest : public ::testing::TestWithParam<uint64_t> {};
@@ -340,6 +388,45 @@ TEST(HybridBounderTest, IntersectionIsAtLeastAsTightAsBothParts) {
       const Interval l = laesa->Bounds(i, j);
       ASSERT_GE(h.lo + 1e-12, std::max(t.lo, l.lo));
       ASSERT_LE(h.hi - 1e-12, std::min(t.hi, l.hi));
+    }
+  }
+}
+
+// With LAESA pivot rows that never reached the graph, both children
+// contribute; the hybrid's row is still its per-pair intersection, bit for
+// bit, whichever child comes first.
+TEST(HybridBounderTest, BoundsFromIntersectsBothChildren) {
+  const ObjectId n = 20;
+  ResolverStack stack = MakeRandomStack(n, 607);
+  ResolveRandomPairs(stack.resolver.get(), 40, 8);
+  const ResolveFn raw = [&](ObjectId a, ObjectId b) {
+    return stack.oracle->Distance(a, b);
+  };
+  for (const bool tri_first : {true, false}) {
+    std::unique_ptr<Bounder> tri =
+        std::make_unique<TriBounder>(stack.graph.get());
+    std::unique_ptr<Bounder> laesa =
+        LaesaBounder::Build(n, DefaultNumLandmarks(n), raw, 1);
+    HybridBounder hybrid(tri_first ? std::move(tri) : std::move(laesa),
+                         tri_first ? std::move(laesa) : std::move(tri));
+    for (ObjectId q = 0; q < n; ++q) {
+      std::vector<ObjectId> targets;
+      for (ObjectId v = 0; v < n; ++v) {
+        if (v != q && !stack.graph->Has(q, v)) targets.push_back(v);
+      }
+      std::vector<Interval> row(targets.size());
+      hybrid.BoundsFrom(q, targets, row);
+      for (size_t k = 0; k < targets.size(); ++k) {
+        const Interval want = hybrid.Bounds(q, targets[k]);
+        EXPECT_EQ(std::bit_cast<uint64_t>(row[k].lo),
+                  std::bit_cast<uint64_t>(want.lo))
+            << "tri_first=" << tri_first << " (" << q << "," << targets[k]
+            << ")";
+        EXPECT_EQ(std::bit_cast<uint64_t>(row[k].hi),
+                  std::bit_cast<uint64_t>(want.hi))
+            << "tri_first=" << tri_first << " (" << q << "," << targets[k]
+            << ")";
+      }
     }
   }
 }

@@ -7,7 +7,9 @@
 //  1. Direct kernel A/B: random operands through pivot_scan / tri_reduce /
 //     batch_distance on every supported tier, compared to the scalar tier
 //     as raw doubles (EXPECT_EQ, no tolerance). Lengths sweep across the
-//     vector width so full blocks, tails and empty inputs are all hit.
+//     vector width so full blocks, tails and empty inputs are all hit. The
+//     Tri strategies (per-pair merge, one-to-many scatter and gather) are
+//     pinned against the historical lambda walk on every tier the same way.
 //  2. The audit-matrix discipline of trace_equivalence_test: each
 //     kNN/Prim/Borůvka/PAM x Tri/SPLUB/LAESA cell runs once per tier from
 //     a fresh graph, and the scalar run's output blob and every decision
@@ -17,6 +19,8 @@
 // Tiers the hardware cannot execute are skipped (SetTier clamps), so the
 // test is green on any host while proving as much as the host allows.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -32,6 +36,7 @@
 #include "algo/prim.h"
 #include "bounds/resolver.h"
 #include "bounds/scheme.h"
+#include "bounds/tri.h"
 #include "core/logging.h"
 #include "core/simd.h"
 #include "data/datasets.h"
@@ -146,54 +151,209 @@ TEST(KernelBitIdentityTest, BatchDistanceMatchesScalarOnEveryTier) {
   }
 }
 
-TEST(KernelBitIdentityTest, TriMergeBoundsMatchesLambdaWalkOnEveryTier) {
-  TierGuard guard;
-  // A partially resolved graph with overlapping neighborhoods.
-  const ObjectId n = 24;
+/// A partially resolved graph with overlapping neighborhoods over objects
+/// 0..23, plus object 24 with no edge at all and object 25, a hub resolved
+/// to every object but 24.
+PartialDistanceGraph TriTestGraph() {
+  const ObjectId n = 26;
+  const ObjectId isolated = 24;
+  const ObjectId hub = 25;
   PartialDistanceGraph graph(n);
   std::mt19937_64 rng(17);
   std::uniform_real_distribution<double> dist(0.1, 1.0);
-  for (ObjectId i = 0; i < n; ++i) {
-    for (ObjectId j = i + 1; j < n; ++j) {
+  for (ObjectId i = 0; i < isolated; ++i) {
+    for (ObjectId j = i + 1; j < isolated; ++j) {
       if (rng() % 3 != 0) continue;
       graph.Insert(i, j, dist(rng));
     }
   }
+  for (ObjectId i = 0; i < isolated; ++i) graph.Insert(i, hub, dist(rng));
+  return graph;
+}
+
+simd::TriColumn ColumnOf(const PartialDistanceGraph& graph, ObjectId i) {
+  const PartialDistanceGraph::AdjacencyColumns c = graph.AdjacencyView(i);
+  return simd::TriColumn{c.ids.data(), c.distances.data(), c.ids.size()};
+}
+
+/// The historical templated lambda walk, verbatim: the reference every Tri
+/// strategy must reproduce bit for bit.
+Interval LambdaWalk(const PartialDistanceGraph& graph, ObjectId i, ObjectId j,
+                    double rho) {
+  const double inv_rho = 1.0 / rho;
+  double lb = 0.0;
+  double ub = kInfDistance;
+  graph.ForEachCommonNeighbor(i, j, [&](ObjectId, double di, double dj) {
+    const double gap_ij = di * inv_rho - dj;
+    const double gap_ji = dj * inv_rho - di;
+    const double gap = gap_ij > gap_ji ? gap_ij : gap_ji;
+    if (gap > lb) lb = gap;
+    const double sum = rho * (di + dj);
+    if (sum < ub) ub = sum;
+  });
+  if (lb > ub) lb = ub;
+  return Interval(lb, ub);
+}
+
+TEST(KernelBitIdentityTest, TriMergeBoundsMatchesLambdaWalkOnEveryTier) {
+  TierGuard guard;
+  const PartialDistanceGraph graph = TriTestGraph();
+  const ObjectId n = graph.num_objects();
+  simd::TriScratch scratch;
   for (const double rho : {1.0, 2.0}) {
-    const double inv_rho = 1.0 / rho;
     for (ObjectId i = 0; i < n; ++i) {
       for (ObjectId j = i + 1; j < n; ++j) {
-        // The historical templated lambda walk, verbatim.
-        double lb = 0.0;
-        double ub = kInfDistance;
-        graph.ForEachCommonNeighbor(
-            i, j, [&](ObjectId, double di, double dj) {
-              const double gap_ij = di * inv_rho - dj;
-              const double gap_ji = dj * inv_rho - di;
-              const double gap = gap_ij > gap_ji ? gap_ij : gap_ji;
-              if (gap > lb) lb = gap;
-              const double sum = rho * (di + dj);
-              if (sum < ub) ub = sum;
-            });
-        if (lb > ub) lb = ub;
+        const Interval want = LambdaWalk(graph, i, j, rho);
         for (const simd::Tier tier : SupportedTiers()) {
           simd::SetTier(tier);
-          const PartialDistanceGraph::AdjacencyColumns a =
-              graph.AdjacencyView(i);
-          const PartialDistanceGraph::AdjacencyColumns b =
-              graph.AdjacencyView(j);
-          simd::TriScratch scratch;
-          const Interval got = simd::TriMergeBounds(
-              a.ids.data(), a.distances.data(), a.ids.size(), b.ids.data(),
-              b.distances.data(), b.ids.size(), rho, &scratch);
-          EXPECT_EQ(got.lo, lb) << simd::TierName(tier) << " (" << i << ","
-                                << j << ") rho=" << rho;
-          EXPECT_EQ(got.hi, ub) << simd::TierName(tier) << " (" << i << ","
-                                << j << ") rho=" << rho;
+          const simd::TriColumn a = ColumnOf(graph, i);
+          const simd::TriColumn b = ColumnOf(graph, j);
+          const Interval got =
+              simd::TriMergeBounds(a.ids, a.distances, a.size, b.ids,
+                                   b.distances, b.size, rho, &scratch);
+          EXPECT_EQ(got.lo, want.lo) << simd::TierName(tier) << " (" << i
+                                     << "," << j << ") rho=" << rho;
+          EXPECT_EQ(got.hi, want.hi) << simd::TierName(tier) << " (" << i
+                                     << "," << j << ") rho=" << rho;
         }
       }
     }
   }
+
+  // The one-to-many strategies, each called directly, from every source —
+  // the isolated object and the hub included — over every other object and
+  // over a subset with a repeat. One scratch serves every call, so state a
+  // call leaves behind would surface in a later one.
+  const std::vector<ObjectId> subset = {24, 3, 25, 3, 11, 0};
+  std::vector<simd::TriColumn> columns;
+  for (const double rho : {1.0, 2.0}) {
+    for (ObjectId q = 0; q < n; ++q) {
+      std::vector<ObjectId> others;
+      for (ObjectId v = 0; v < n; ++v) {
+        if (v != q) others.push_back(v);
+      }
+      const std::vector<ObjectId>* const rows[] = {&others, &subset};
+      for (const std::vector<ObjectId>* targets : rows) {
+        const simd::TriColumn source = ColumnOf(graph, q);
+        for (const simd::Tier tier : SupportedTiers()) {
+          simd::SetTier(tier);
+          std::vector<Interval> scattered(targets->size());
+          columns.clear();
+          for (size_t x = 0; x < source.size; ++x) {
+            columns.push_back(ColumnOf(graph, source.ids[x]));
+          }
+          simd::TriScatterBounds(source, columns, *targets, rho, n, &scratch,
+                                 scattered);
+          std::vector<Interval> gathered(targets->size());
+          columns.clear();
+          for (const ObjectId v : *targets) {
+            columns.push_back(ColumnOf(graph, v));
+          }
+          simd::TriGatherBounds(source, columns, rho, n, &scratch, gathered);
+          for (size_t k = 0; k < targets->size(); ++k) {
+            const ObjectId v = (*targets)[k];
+            const Interval want = LambdaWalk(graph, q, v, rho);
+            EXPECT_EQ(scattered[k].lo, want.lo)
+                << "scatter " << simd::TierName(tier) << " (" << q << "," << v
+                << ") rho=" << rho;
+            EXPECT_EQ(scattered[k].hi, want.hi)
+                << "scatter " << simd::TierName(tier) << " (" << q << "," << v
+                << ") rho=" << rho;
+            EXPECT_EQ(gathered[k].lo, want.lo)
+                << "gather " << simd::TierName(tier) << " (" << q << "," << v
+                << ") rho=" << rho;
+            EXPECT_EQ(gathered[k].hi, want.hi)
+                << "gather " << simd::TierName(tier) << " (" << q << "," << v
+                << ") rho=" << rho;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Thresholds straddling the two decision edges of DecideLessThanFrom for
+/// interval `b` — `b.hi < t - margin(t)` and `b.lo >= t + margin(t)` — by
+/// at most one ulp on either side. `which` picks one of the six.
+double NearEdgeThreshold(const Interval& b, int which) {
+  const double unit = BoundDecisionMargin(0.0);  // margin(t) = unit*(1 + t)
+  const double edge = which < 3 ? (b.hi + unit) / (1.0 - unit)
+                                : (b.lo - unit) / (1.0 + unit);
+  if (!std::isfinite(edge)) return b.lo + 0.5;
+  switch (which % 3) {
+    case 0:
+      return std::nextafter(edge, -kInfDistance);
+    case 1:
+      return edge;
+    default:
+      return std::nextafter(edge, kInfDistance);
+  }
+}
+
+// Tri's DecideBatch takes one BoundsFrom row when every pair shares an
+// endpoint and the per-pair loop otherwise; either way its decisions are
+// the DecideLessThan loop's, also at thresholds one ulp from a flip.
+TEST(KernelBitIdentityTest, TriDecideBatchMatchesDecideLessThanLoop) {
+  TierGuard guard;
+  const PartialDistanceGraph graph = TriTestGraph();
+  const ObjectId n = graph.num_objects();
+  std::vector<std::vector<IdPair>> batches;
+  std::vector<IdPair> unshared;
+  for (ObjectId q = 0; q < n; ++q) {
+    std::vector<IdPair> as_i;
+    std::vector<IdPair> as_j;
+    for (ObjectId v = 0; v < n; ++v) {
+      if (v == q || graph.Has(q, v)) continue;
+      as_i.push_back(IdPair{q, v});
+      as_j.push_back(IdPair{v, q});
+      if (q < v) unshared.push_back(IdPair{q, v});
+    }
+    if (as_i.empty()) continue;
+    // The whole row, and a short prefix: a different strategy may win.
+    batches.push_back(as_i);
+    batches.push_back(as_j);
+    batches.emplace_back(as_i.begin(), as_i.begin() + std::min<size_t>(
+                                                         3, as_i.size()));
+    batches.emplace_back(as_j.begin(), as_j.begin() + std::min<size_t>(
+                                                         3, as_j.size()));
+  }
+  batches.push_back(unshared);
+
+  size_t decided = 0;
+  size_t undecided = 0;
+  for (const double rho : {1.0, 2.0}) {
+    TriBounder batch_tri(&graph, rho);
+    TriBounder loop_tri(&graph, rho);
+    for (const simd::Tier tier : SupportedTiers()) {
+      simd::SetTier(tier);
+      for (const std::vector<IdPair>& pairs : batches) {
+        for (int which = 0; which < 6; ++which) {
+          std::vector<double> thresholds(pairs.size());
+          for (size_t k = 0; k < pairs.size(); ++k) {
+            thresholds[k] = NearEdgeThreshold(
+                loop_tri.Bounds(pairs[k].i, pairs[k].j), which);
+          }
+          std::vector<std::optional<bool>> got(pairs.size());
+          batch_tri.DecideBatch(pairs, thresholds, got);
+          for (size_t k = 0; k < pairs.size(); ++k) {
+            const std::optional<bool> want =
+                loop_tri.DecideLessThan(pairs[k].i, pairs[k].j, thresholds[k]);
+            EXPECT_EQ(got[k], want)
+                << simd::TierName(tier) << " (" << pairs[k].i << ","
+                << pairs[k].j << ") t=" << thresholds[k] << " rho=" << rho;
+            if (want.has_value()) {
+              ++decided;
+            } else {
+              ++undecided;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The near-edge thresholds land on both sides of a flip.
+  EXPECT_GT(decided, 0u);
+  EXPECT_GT(undecided, 0u);
 }
 
 TEST(KernelDispatchTest, EnvOverrideParsesAndClamps) {

@@ -1,6 +1,8 @@
 #include "algo/search.h"
 
 #include <algorithm>
+#include <queue>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,11 @@
 namespace metricprox {
 namespace {
 
+using testing_util::kAllMetricFamilies;
+using testing_util::MakeFamilyStack;
 using testing_util::MakeRandomStack;
+using testing_util::MetricFamily;
+using testing_util::MetricFamilyName;
 using testing_util::ResolverStack;
 
 TEST(KnnSearchTest, MatchesReferenceGraphRow) {
@@ -40,11 +46,131 @@ TEST_P(KnnSearchSchemeTest, SchemeIndependentResult) {
   }
 }
 
+// Reference triage for KnnSearch's lazy one: every candidate bounded pair
+// by pair and fully sorted up front, and every one past the seed triaged
+// through ProvenGreaterThan.
+std::vector<KnnNeighbor> FullTriageKnnSearch(BoundedResolver* resolver,
+                                             ObjectId query, uint32_t k) {
+  struct Candidate {
+    double lower_bound;
+    ObjectId id;
+  };
+  const ObjectId n = resolver->num_objects();
+  std::vector<Candidate> candidates;
+  for (ObjectId v = 0; v < n; ++v) {
+    if (v == query) continue;
+    candidates.push_back(Candidate{resolver->Bounds(query, v).lo, v});
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.lower_bound != b.lower_bound) {
+                return a.lower_bound < b.lower_bound;
+              }
+              return a.id < b.id;
+            });
+  const auto heap_less = [](const KnnNeighbor& a, const KnnNeighbor& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.id < b.id;
+  };
+  std::priority_queue<KnnNeighbor, std::vector<KnnNeighbor>,
+                      decltype(heap_less)>
+      best(heap_less);
+  std::vector<IdPair> batch;
+  for (size_t c = 0; c < k; ++c) {
+    batch.push_back(IdPair{query, candidates[c].id});
+  }
+  resolver->ResolveAll(batch);
+  for (size_t c = 0; c < k; ++c) {
+    const ObjectId v = candidates[c].id;
+    best.push(KnnNeighbor{v, resolver->Distance(query, v)});
+  }
+  constexpr size_t kChunk = 32;
+  std::vector<ObjectId> survivors;
+  for (size_t begin = k; begin < candidates.size(); begin += kChunk) {
+    const size_t end = std::min(candidates.size(), begin + kChunk);
+    const double t = best.top().distance;
+    batch.clear();
+    survivors.clear();
+    for (size_t c = begin; c < end; ++c) {
+      const ObjectId v = candidates[c].id;
+      if (resolver->ProvenGreaterThan(query, v, t)) continue;
+      batch.push_back(IdPair{query, v});
+      survivors.push_back(v);
+    }
+    resolver->ResolveAll(batch);
+    for (const ObjectId v : survivors) {
+      const double d = resolver->Distance(query, v);
+      const double top = best.top().distance;
+      const ObjectId tid = best.top().id;
+      if (d < top || (d == top && v < tid)) {
+        best.pop();
+        best.push(KnnNeighbor{v, d});
+      }
+    }
+  }
+  std::vector<KnnNeighbor> out(best.size());
+  for (size_t i = best.size(); i-- > 0;) {
+    out[i] = best.top();
+    best.pop();
+  }
+  return out;
+}
+
+// Stopping at the first candidate whose ordering lower bound clears the
+// threshold drops only comparisons: over a whole k-NN graph, on both
+// transports, the survivors — hence the output and oracle_calls — are the
+// full triage's, query by query.
+TEST_P(KnnSearchSchemeTest, LazyTriageMatchesFullTriage) {
+  const ObjectId n = 64;
+  const uint32_t k = 4;
+  uint64_t lazy_comparisons = 0;
+  uint64_t full_comparisons = 0;
+  for (const MetricFamily family : kAllMetricFamilies) {
+    for (const bool batch : {true, false}) {
+      ResolverStack lazy = MakeFamilyStack(family, n, 95);
+      ResolverStack full = MakeFamilyStack(family, n, 95);
+      SchemeOptions options;
+      auto lazy_bounder =
+          MakeAndAttachScheme(GetParam(), lazy.resolver.get(), options);
+      auto full_bounder =
+          MakeAndAttachScheme(GetParam(), full.resolver.get(), options);
+      ASSERT_TRUE(lazy_bounder.ok() && full_bounder.ok());
+      lazy.resolver->SetBatchTransport(batch);
+      full.resolver->SetBatchTransport(batch);
+      const uint64_t lazy_before = lazy.resolver->stats().comparisons;
+      const uint64_t full_before = full.resolver->stats().comparisons;
+      for (ObjectId q = 0; q < n; ++q) {
+        ASSERT_EQ(KnnSearch(lazy.resolver.get(), q, k),
+                  FullTriageKnnSearch(full.resolver.get(), q, k))
+            << SchemeKindName(GetParam()) << " "
+            << MetricFamilyName(family) << " batch=" << batch << " q=" << q;
+        ASSERT_EQ(lazy.resolver->stats().oracle_calls,
+                  full.resolver->stats().oracle_calls)
+            << SchemeKindName(GetParam()) << " "
+            << MetricFamilyName(family) << " batch=" << batch << " q=" << q;
+      }
+      const uint64_t lazy_count =
+          lazy.resolver->stats().comparisons - lazy_before;
+      const uint64_t full_count =
+          full.resolver->stats().comparisons - full_before;
+      EXPECT_LE(lazy_count, full_count)
+          << SchemeKindName(GetParam()) << " " << MetricFamilyName(family)
+          << " batch=" << batch;
+      lazy_comparisons += lazy_count;
+      full_comparisons += full_count;
+    }
+  }
+  // The early stop fires: some triage comparisons are never made.
+  EXPECT_LT(lazy_comparisons, full_comparisons) << SchemeKindName(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KnnSearchSchemeTest,
                          ::testing::Values(SchemeKind::kTri,
                                            SchemeKind::kSplub,
                                            SchemeKind::kLaesa,
-                                           SchemeKind::kTlaesa));
+                                           SchemeKind::kTlaesa,
+                                           SchemeKind::kHybrid,
+                                           SchemeKind::kNone));
 
 TEST(RangeSearchTest, MatchesBruteForce) {
   const ObjectId n = 26;
