@@ -49,13 +49,18 @@ Interval BoundedResolver::SlackBounds(ObjectId i, ObjectId j) {
   return bounds;
 }
 
-bool BoundedResolver::DecideBySlack(ObjectId i, ObjectId j, double t,
-                                    const Interval& b, double gap,
-                                    bool forced) {
+void BoundedResolver::RecordSlack(ObjectId i, ObjectId j, double threshold,
+                                  double gap, bool forced) {
   ++stats_.decided_by_slack;
   if (forced) ++stats_.budget_exhausted;
   if (telemetry_ != nullptr) telemetry_->slack_realized_error.Record(gap);
-  Trace(TraceEventKind::kDecidedBySlack, i, j, t);
+  Trace(TraceEventKind::kDecidedBySlack, i, j, threshold);
+}
+
+bool BoundedResolver::DecideBySlack(ObjectId i, ObjectId j, double t,
+                                    const Interval& b, double gap,
+                                    bool forced) {
+  RecordSlack(i, j, t, gap, forced);
   const bool outcome = SlackMidpoint(b) < t;
   Stopwatch watch;
   bounder_->ObserveSlackLessThan(i, j, t, b, policy_.eps, outcome);
@@ -93,20 +98,33 @@ Interval BoundedResolver::WeakIntersect(ObjectId i, ObjectId j,
 }
 
 std::optional<bool> BoundedResolver::DecideByWeak(ObjectId i, ObjectId j,
-                                                  double t,
+                                                  Relation rel, double t,
                                                   const Interval& eff) {
   const double margin = BoundDecisionMargin(t);
   std::optional<bool> outcome;
-  if (eff.hi < t - margin) {
+  if (rel == Relation::kLess) {
+    if (eff.hi < t - margin) {
+      outcome = true;
+    } else if (eff.lo >= t + margin) {
+      outcome = false;
+    }
+  } else if (rel == Relation::kGreater ? eff.lo > t + margin
+                                       : eff.lo >= t + margin) {
     outcome = true;
-  } else if (eff.lo >= t + margin) {
-    outcome = false;
   }
   if (!outcome.has_value()) return std::nullopt;
   ++stats_.decided_by_weak;
   Trace(TraceEventKind::kDecidedByWeak, i, j, t);
   Stopwatch watch;
-  bounder_->ObserveWeakLessThan(i, j, t, weak_->ModelFor(i, j), *outcome);
+  if (rel == Relation::kGreater) {
+    bounder_->ObserveWeakGreaterThan(i, j, t, weak_->ModelFor(i, j),
+                                     /*outcome=*/true);
+  } else {
+    // A >= t proof travels the LessThan channel with outcome=false
+    // (`dist(i, j) < t` provably false).
+    bounder_->ObserveWeakLessThan(i, j, t, weak_->ModelFor(i, j),
+                                  rel == Relation::kLess && *outcome);
+  }
   stats_.bounder_seconds += watch.ElapsedSeconds();
   return outcome;
 }
@@ -117,39 +135,32 @@ void BoundedResolver::NotifyWeakResolved(ObjectId i, ObjectId j, double d) {
   if (weak_->violated()) FailWeakModel(weak_->violation_detail());
 }
 
-void BoundedResolver::FailWeakModel(const std::string& detail) {
-  oracle_status_ = Status::FailedPrecondition(
-      "weak oracle violated its advertised error model: " + detail);
-  if (fallible_depth_ > 0) {
-    throw internal::OracleTransportError{oracle_status_};
-  }
-  CHECK(false) << "weak-oracle model violation outside RunFallible: "
-               << oracle_status_;
-  std::abort();  // unreachable; keeps [[noreturn]] honest for the compiler
-}
-
-void BoundedResolver::FailBudget(uint64_t requested) {
-  oracle_status_ = Status::ResourceExhausted(
-      "oracle budget exhausted: " + std::to_string(budget_spent_) + "/" +
-      std::to_string(policy_.oracle_budget) + " calls spent, " +
-      std::to_string(requested) + " more needed with no slack fallback");
-  if (fallible_depth_ > 0) {
-    throw internal::OracleTransportError{oracle_status_};
-  }
-  CHECK(false) << "oracle budget exhausted outside RunFallible: "
-               << oracle_status_;
-  std::abort();  // unreachable; keeps [[noreturn]] honest for the compiler
-}
-
-void BoundedResolver::FailTransport(Status status, uint64_t failed_pairs) {
-  stats_.oracle_failures += failed_pairs;
+void BoundedResolver::Fail(Status status, const char* what) {
   oracle_status_ = status;
   if (fallible_depth_ > 0) {
     throw internal::OracleTransportError{std::move(status)};
   }
-  CHECK(false) << "oracle transport failed outside RunFallible: "
-               << oracle_status_;
+  CHECK(false) << what << " outside RunFallible: " << oracle_status_;
   std::abort();  // unreachable; keeps [[noreturn]] honest for the compiler
+}
+
+void BoundedResolver::FailWeakModel(const std::string& detail) {
+  Fail(Status::FailedPrecondition(
+           "weak oracle violated its advertised error model: " + detail),
+       "weak-oracle model violation");
+}
+
+void BoundedResolver::FailBudget(uint64_t requested) {
+  Fail(Status::ResourceExhausted(
+           "oracle budget exhausted: " + std::to_string(budget_spent_) + "/" +
+           std::to_string(policy_.oracle_budget) + " calls spent, " +
+           std::to_string(requested) + " more needed with no slack fallback"),
+       "oracle budget exhausted");
+}
+
+void BoundedResolver::FailTransport(Status status, uint64_t failed_pairs) {
+  stats_.oracle_failures += failed_pairs;
+  Fail(std::move(status), "oracle transport failed");
 }
 
 StatusOr<double> BoundedResolver::RunFallible(
@@ -243,7 +254,10 @@ void BoundedResolver::BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
   }
 }
 
-bool BoundedResolver::LessThan(ObjectId i, ObjectId j, double t) {
+std::optional<bool> BoundedResolver::DecideKnown(ObjectId i, ObjectId j,
+                                                 Relation rel, double t) {
+  CHECK_LT(i, graph_->num_objects());
+  CHECK_LT(j, graph_->num_objects());
   ++stats_.comparisons;
   Trace(TraceEventKind::kComparison, i, j, t);
   if (t == kInfDistance) {
@@ -252,46 +266,84 @@ bool BoundedResolver::LessThan(ObjectId i, ObjectId j, double t) {
     // Applied uniformly across schemes so call accounting stays comparable.
     ++stats_.decided_by_bounds;
     Trace(TraceEventKind::kDecidedByBounds, i, j, t);
-    return true;
+    return rel == Relation::kLess;
   }
-  if (i == j) {
-    ++stats_.decided_by_cache;
-    Trace(TraceEventKind::kDecidedByCache, i, j, t);
-    return 0.0 < t;
+  const std::optional<double> d =
+      i == j ? std::optional<double>(0.0) : graph_->Get(i, j);
+  if (!d.has_value()) return std::nullopt;
+  ++stats_.decided_by_cache;
+  Trace(TraceEventKind::kDecidedByCache, i, j, t);
+  switch (rel) {
+    case Relation::kLess:
+      return *d < t;
+    case Relation::kGreater:
+      return *d > t;
+    case Relation::kGreaterOrEqual:
+      return *d >= t;
   }
-  if (const std::optional<double> cached = graph_->Get(i, j)) {
-    ++stats_.decided_by_cache;
-    Trace(TraceEventKind::kDecidedByCache, i, j, t);
-    return *cached < t;
-  }
+  return std::nullopt;
+}
+
+std::optional<bool> BoundedResolver::DecideByScheme(ObjectId i, ObjectId j,
+                                                    Relation rel, double t) {
   ++stats_.bound_queries;
   Stopwatch watch;
-  const std::optional<bool> decided = bounder_->DecideLessThan(i, j, t);
+  std::optional<bool> decided = rel == Relation::kGreater
+                                    ? bounder_->DecideGreaterThan(i, j, t)
+                                    : bounder_->DecideLessThan(i, j, t);
   stats_.bounder_seconds += watch.ElapsedSeconds();
-  if (decided.has_value()) {
+  if (rel == Relation::kGreaterOrEqual && decided.has_value()) {
+    decided = !*decided;  // dist(i, j) >= t is the negation of < t
+  }
+  return decided;
+}
+
+std::optional<bool> BoundedResolver::DecideUnknown(
+    ObjectId i, ObjectId j, Relation rel, double t,
+    std::optional<bool> by_scheme, Interval* b, Interval* eff) {
+  if (by_scheme.has_value()) {
+    // A proof verb's disproof is not a proof: it stays undecided, and the
+    // weak oracle cannot prove what the scheme already refuted.
+    if (rel != Relation::kLess && !*by_scheme) return std::nullopt;
     ++stats_.decided_by_bounds;
     Trace(TraceEventKind::kDecidedByBounds, i, j, t);
+    return by_scheme;
+  }
+  const bool slack = rel == Relation::kLess && PolicyActive();
+  if (!WeakActive() && !slack) return std::nullopt;
+  *b = SlackBounds(i, j);
+  *eff = *b;
+  if (WeakActive()) {
+    // Weak before slack: a weak decision is exact (when the model holds), a
+    // slack decision is not.
+    *eff = WeakIntersect(i, j, *b);
+    if (const std::optional<bool> by_weak = DecideByWeak(i, j, rel, t, *eff)) {
+      return by_weak;
+    }
+  }
+  if (slack && SlackActive()) {
+    const double gap = SlackRelativeGap(*b);
+    if (gap <= policy_.eps) {
+      return DecideBySlack(i, j, t, *b, gap, /*forced=*/false);
+    }
+  }
+  return std::nullopt;
+}
+
+bool BoundedResolver::LessThan(ObjectId i, ObjectId j, double t) {
+  if (const std::optional<bool> known = DecideKnown(i, j, Relation::kLess, t)) {
+    return *known;
+  }
+  Interval b;
+  Interval eff;
+  if (const std::optional<bool> decided =
+          DecideUnknown(i, j, Relation::kLess, t,
+                        DecideByScheme(i, j, Relation::kLess, t), &b, &eff)) {
     return *decided;
   }
-  if (WeakActive() || PolicyActive()) {
-    const Interval b = SlackBounds(i, j);
-    if (WeakActive()) {
-      // Weak before slack: a weak decision is exact (when the model holds),
-      // a slack decision is not.
-      const std::optional<bool> by_weak =
-          DecideByWeak(i, j, t, WeakIntersect(i, j, b));
-      if (by_weak.has_value()) return *by_weak;
-    }
-    if (PolicyActive()) {
-      const double gap = SlackRelativeGap(b);
-      if (SlackActive() && gap <= policy_.eps) {
-        return DecideBySlack(i, j, t, b, gap, /*forced=*/false);
-      }
-      if (BudgetActive() && BudgetRemaining() == 0) {
-        if (!std::isfinite(b.hi)) FailBudget(1);
-        return DecideBySlack(i, j, t, b, gap, /*forced=*/true);
-      }
-    }
+  if (BudgetActive() && BudgetRemaining() == 0) {
+    if (!std::isfinite(b.hi)) FailBudget(1);
+    return DecideBySlack(i, j, t, b, SlackRelativeGap(b), /*forced=*/true);
   }
   ++stats_.decided_by_oracle;
   // The gap probe must run before Distance(): afterwards the interval
@@ -301,41 +353,17 @@ bool BoundedResolver::LessThan(ObjectId i, ObjectId j, double t) {
   return Distance(i, j) < t;
 }
 
-bool BoundedResolver::ProvenGreaterThan(ObjectId i, ObjectId j, double t) {
-  ++stats_.comparisons;
-  Trace(TraceEventKind::kComparison, i, j, t);
-  if (i == j) {
-    ++stats_.decided_by_cache;
-    Trace(TraceEventKind::kDecidedByCache, i, j, t);
-    return 0.0 > t;
+bool BoundedResolver::Prove(ObjectId i, ObjectId j, Relation rel, double t) {
+  if (const std::optional<bool> known = DecideKnown(i, j, rel, t)) {
+    return *known;
   }
-  if (const std::optional<double> cached = graph_->Get(i, j)) {
-    ++stats_.decided_by_cache;
-    Trace(TraceEventKind::kDecidedByCache, i, j, t);
-    return *cached > t;
+  Interval b;
+  Interval eff;
+  if (const std::optional<bool> proven = DecideUnknown(
+          i, j, rel, t, DecideByScheme(i, j, rel, t), &b, &eff)) {
+    return *proven;
   }
-  ++stats_.bound_queries;
-  Stopwatch watch;
-  const std::optional<bool> decided = bounder_->DecideGreaterThan(i, j, t);
-  stats_.bounder_seconds += watch.ElapsedSeconds();
-  if (decided.has_value() && *decided) {
-    ++stats_.decided_by_bounds;
-    Trace(TraceEventKind::kDecidedByBounds, i, j, t);
-    return true;
-  }
-  if (WeakActive() && !decided.has_value()) {
-    const Interval eff = WeakIntersect(i, j, SlackBounds(i, j));
-    if (eff.lo > t + BoundDecisionMargin(t)) {
-      ++stats_.decided_by_weak;
-      Trace(TraceEventKind::kDecidedByWeak, i, j, t);
-      Stopwatch weak_watch;
-      bounder_->ObserveWeakGreaterThan(i, j, t, weak_->ModelFor(i, j),
-                                       /*outcome=*/true);
-      stats_.bounder_seconds += weak_watch.ElapsedSeconds();
-      return true;
-    }
-  }
-  // Not proven (either provably <= t or undecidable). No oracle call happens
+  // Not proven (either refuted or undecidable). No oracle call happens
   // here — the caller typically resolves next, and *that* comparison is the
   // one charged to the oracle.
   ++stats_.undecided;
@@ -344,59 +372,15 @@ bool BoundedResolver::ProvenGreaterThan(ObjectId i, ObjectId j, double t) {
   return false;
 }
 
-bool BoundedResolver::ProvenGreaterOrEqual(ObjectId i, ObjectId j, double t) {
-  ++stats_.comparisons;
-  Trace(TraceEventKind::kComparison, i, j, t);
-  if (t == kInfDistance) {
-    // No finite metric distance reaches +inf; decided without the scheme
-    // (mirrors the LessThan short-circuit, keeping inf out of DFT's LP).
-    ++stats_.decided_by_bounds;
-    Trace(TraceEventKind::kDecidedByBounds, i, j, t);
-    return false;
-  }
-  if (i == j) {
-    ++stats_.decided_by_cache;
-    Trace(TraceEventKind::kDecidedByCache, i, j, t);
-    return 0.0 >= t;
-  }
-  if (const std::optional<double> cached = graph_->Get(i, j)) {
-    ++stats_.decided_by_cache;
-    Trace(TraceEventKind::kDecidedByCache, i, j, t);
-    return *cached >= t;
-  }
-  ++stats_.bound_queries;
-  Stopwatch watch;
-  const std::optional<bool> decided = bounder_->DecideLessThan(i, j, t);
-  stats_.bounder_seconds += watch.ElapsedSeconds();
-  if (decided.has_value() && !*decided) {
-    // dist(i, j) < t is provably false, i.e. dist(i, j) >= t.
-    ++stats_.decided_by_bounds;
-    Trace(TraceEventKind::kDecidedByBounds, i, j, t);
-    return true;
-  }
-  if (WeakActive() && !decided.has_value()) {
-    const Interval eff = WeakIntersect(i, j, SlackBounds(i, j));
-    if (eff.lo >= t + BoundDecisionMargin(t)) {
-      ++stats_.decided_by_weak;
-      Trace(TraceEventKind::kDecidedByWeak, i, j, t);
-      Stopwatch weak_watch;
-      // A >= t proof travels the LessThan observation channel with
-      // outcome=false (`dist(i, j) < t` provably false).
-      bounder_->ObserveWeakLessThan(i, j, t, weak_->ModelFor(i, j),
-                                    /*outcome=*/false);
-      stats_.bounder_seconds += weak_watch.ElapsedSeconds();
-      return true;
-    }
-  }
-  // Not proven (either provably < t or undecidable). As in
-  // ProvenGreaterThan, nothing reached the oracle on this path.
-  ++stats_.undecided;
-  ProbeBoundGap(i, j, t);
-  Trace(TraceEventKind::kUndecided, i, j, t);
-  return false;
+bool BoundedResolver::ProvenGreaterThan(ObjectId i, ObjectId j, double t) {
+  return Prove(i, j, Relation::kGreater, t);
 }
 
-void BoundedResolver::ResolveUnknown(std::span<const IdPair> pairs) {
+bool BoundedResolver::ProvenGreaterOrEqual(ObjectId i, ObjectId j, double t) {
+  return Prove(i, j, Relation::kGreaterOrEqual, t);
+}
+
+void BoundedResolver::ResolveAll(std::span<const IdPair> pairs) {
   // Dedup sweep: keep the first occurrence of each unresolved unordered
   // pair, so a pair that appears twice (or as both (i,j) and (j,i)) costs
   // one oracle call, never two.
@@ -483,52 +467,30 @@ void BoundedResolver::ResolveUnknown(std::span<const IdPair> pairs) {
   }
 }
 
-void BoundedResolver::ResolveAll(std::span<const IdPair> pairs) {
-  ResolveUnknown(pairs);
-}
-
 std::vector<bool> BoundedResolver::FilterLessThan(
     std::span<const IdPair> pairs, std::span<const double> thresholds) {
   CHECK_EQ(pairs.size(), thresholds.size());
   std::vector<bool> out(pairs.size());
-  stats_.comparisons += pairs.size();
 
-  // Cache sweep: answer i == j, already-resolved pairs and the t == +inf
-  // short-circuit; everything else survives into the bounder sweep.
+  // Stage 1 per pair; the survivors go to the bounder sweep.
   std::vector<size_t> sweep;
   std::vector<IdPair> sweep_pairs;
   std::vector<double> sweep_thresholds;
   for (size_t k = 0; k < pairs.size(); ++k) {
     const IdPair p = pairs[k];
-    CHECK_LT(p.i, graph_->num_objects());
-    CHECK_LT(p.j, graph_->num_objects());
-    const double t = thresholds[k];
-    Trace(TraceEventKind::kComparison, p.i, p.j, t);
-    if (t == kInfDistance) {
-      ++stats_.decided_by_bounds;
-      Trace(TraceEventKind::kDecidedByBounds, p.i, p.j, t);
-      out[k] = true;
-      continue;
-    }
-    if (p.i == p.j) {
-      ++stats_.decided_by_cache;
-      Trace(TraceEventKind::kDecidedByCache, p.i, p.j, t);
-      out[k] = 0.0 < t;
-      continue;
-    }
-    if (const std::optional<double> cached = graph_->Get(p.i, p.j)) {
-      ++stats_.decided_by_cache;
-      Trace(TraceEventKind::kDecidedByCache, p.i, p.j, t);
-      out[k] = *cached < t;
+    if (const std::optional<bool> known =
+            DecideKnown(p.i, p.j, Relation::kLess, thresholds[k])) {
+      out[k] = *known;
       continue;
     }
     sweep.push_back(k);
     sweep_pairs.push_back(p);
-    sweep_thresholds.push_back(t);
+    sweep_thresholds.push_back(thresholds[k]);
   }
 
   // Bounder sweep: one DecideBatch over every survivor. Decisions are made
-  // before any resolution, so they are independent of the transport.
+  // before any resolution, so they are independent of the transport, and
+  // repeats of a pair see the same intervals and decide identically.
   std::vector<std::optional<bool>> decided(sweep.size());
   if (!sweep.empty()) {
     ScopedSpan bound_span(telemetry_, "bound", sweep.size());
@@ -541,142 +503,93 @@ std::vector<bool> BoundedResolver::FilterLessThan(
   // Ship the undecided remainder in one batch, then read the answers back
   // from the cache. Attribution mirrors the scalar LessThan loop: only the
   // first occurrence of an unordered pair actually triggers a resolution
-  // (ResolveUnknown dedups); a repeat — duplicate or symmetric — would have
-  // hit the cache in the scalar loop, so it is charged to the cache here.
+  // (ResolveAll dedups); a repeat — duplicate or symmetric — would have hit
+  // the cache in the scalar loop, so it is charged to the cache here.
   std::vector<size_t> undecided;
   std::vector<IdPair> remainder;
   std::unordered_set<EdgeKey, EdgeKeyHash> charged;
-  if (!PolicyActive()) {
-    for (size_t s = 0; s < sweep.size(); ++s) {
-      if (decided[s].has_value()) {
-        ++stats_.decided_by_bounds;
-        Trace(TraceEventKind::kDecidedByBounds, sweep_pairs[s].i,
-              sweep_pairs[s].j, sweep_thresholds[s]);
-        out[sweep[s]] = *decided[s];
-      } else {
-        const IdPair p = sweep_pairs[s];
-        if (WeakActive()) {
-          // No resolution happens during this sweep, so repeats of a pair
-          // see the same memoized weak interval and decide identically.
-          const std::optional<bool> by_weak = DecideByWeak(
-              p.i, p.j, sweep_thresholds[s],
-              WeakIntersect(p.i, p.j, SlackBounds(p.i, p.j)));
-          if (by_weak.has_value()) {
-            out[sweep[s]] = *by_weak;
-            continue;
-          }
-        }
-        if (charged.insert(EdgeKey(p.i, p.j)).second) {
-          ++stats_.decided_by_oracle;
-          // Probe before ResolveUnknown below collapses the interval.
-          ProbeBoundGap(p.i, p.j, sweep_thresholds[s]);
-          Trace(TraceEventKind::kDecidedByOracle, p.i, p.j,
-                sweep_thresholds[s]);
-        } else {
-          ++stats_.decided_by_cache;
-          Trace(TraceEventKind::kDecidedByCache, p.i, p.j,
-                sweep_thresholds[s]);
-        }
-        undecided.push_back(s);
-        remainder.push_back(p);
-      }
+  const auto charge = [&](size_t s) {
+    const IdPair p = sweep_pairs[s];
+    if (charged.insert(EdgeKey(p.i, p.j)).second) {
+      ++stats_.decided_by_oracle;
+      // Probe before ResolveAll below collapses the interval.
+      ProbeBoundGap(p.i, p.j, sweep_thresholds[s]);
+      Trace(TraceEventKind::kDecidedByOracle, p.i, p.j, sweep_thresholds[s]);
+    } else {
+      ++stats_.decided_by_cache;
+      Trace(TraceEventKind::kDecidedByCache, p.i, p.j, sweep_thresholds[s]);
     }
-  } else {
-    // Approximate mode. Slack-decide every survivor whose interval gap is
-    // within eps; then, under a budget, ship only as many *unique* pairs
-    // as the remaining budget covers — widest gap first, since a wide
-    // interval gains the most information per oracle call — and settle the
-    // starved rest by forced slack. Each comparison is attributed exactly
-    // once (slack, oracle, or cache), so the counter invariant holds even
-    // when the budget runs out partway through the batch.
-    struct Pending {
-      size_t s;
-      Interval b;
-      double gap;   // scheme-interval gap: slack decisions, realized error
-      double rank;  // weak-informed gap: oracle-budget shipping priority
-    };
-    std::vector<Pending> pending;
-    for (size_t s = 0; s < sweep.size(); ++s) {
-      if (decided[s].has_value()) {
-        ++stats_.decided_by_bounds;
-        Trace(TraceEventKind::kDecidedByBounds, sweep_pairs[s].i,
-              sweep_pairs[s].j, sweep_thresholds[s]);
-        out[sweep[s]] = *decided[s];
-        continue;
-      }
-      const IdPair p = sweep_pairs[s];
-      // No resolution happens during this sweep, so repeats of a pair see
-      // the same interval and weak-/slack-decide identically.
-      const Interval b = SlackBounds(p.i, p.j);
-      Interval eff = b;
-      if (WeakActive()) {
-        eff = WeakIntersect(p.i, p.j, b);
-        const std::optional<bool> by_weak =
-            DecideByWeak(p.i, p.j, sweep_thresholds[s], eff);
-        if (by_weak.has_value()) {
-          out[sweep[s]] = *by_weak;
-          continue;
-        }
-      }
-      const double gap = SlackRelativeGap(b);
-      if (SlackActive() && gap <= policy_.eps) {
-        out[sweep[s]] = DecideBySlack(p.i, p.j, sweep_thresholds[s], b, gap,
-                                      /*forced=*/false);
-        continue;
-      }
+    undecided.push_back(s);
+    remainder.push_back(p);
+  };
+  // Under a policy the pairs stages 2-3 leave open wait for the budget
+  // partition below; without one they are charged at once.
+  struct Pending {
+    size_t s;
+    Interval b;
+    double gap;   // scheme-interval gap: slack decisions, realized error
+    double rank;  // weak-informed gap: oracle-budget shipping priority
+  };
+  std::vector<Pending> pending;
+  for (size_t s = 0; s < sweep.size(); ++s) {
+    const IdPair p = sweep_pairs[s];
+    Interval b;
+    Interval eff;
+    if (const std::optional<bool> by_stage =
+            DecideUnknown(p.i, p.j, Relation::kLess, sweep_thresholds[s],
+                          decided[s], &b, &eff)) {
+      out[sweep[s]] = *by_stage;
+    } else if (PolicyActive()) {
       // Slack decisions and their certificates stay on the scheme interval
       // `b`; the weak-intersected interval only *ranks* pairs for the
-      // budget below (the pairs weak knowledge helps least ship first).
-      pending.push_back({s, b, gap, SlackRelativeGap(eff)});
-    }
-    std::unordered_set<EdgeKey, EdgeKeyHash> starved;
-    if (BudgetActive()) {
-      // Budget partition over the unique pending pairs (duplicates of a
-      // shipped pair read the cache, costing nothing extra).
-      struct Rep {
-        EdgeKey key;
-        double gap;
-      };
-      std::vector<Rep> reps;
-      std::unordered_set<EdgeKey, EdgeKeyHash> seen;
-      for (const Pending& w : pending) {
-        const EdgeKey key(sweep_pairs[w.s].i, sweep_pairs[w.s].j);
-        if (seen.insert(key).second) reps.push_back({key, w.rank});
-      }
-      const uint64_t capacity = BudgetRemaining();
-      if (reps.size() > capacity) {
-        // Stable, so equal gaps keep first-occurrence order and the
-        // partition is deterministic.
-        std::stable_sort(
-            reps.begin(), reps.end(),
-            [](const Rep& a, const Rep& b) { return a.gap > b.gap; });
-        for (size_t r = capacity; r < reps.size(); ++r) {
-          starved.insert(reps[r].key);
-        }
-      }
-    }
-    for (const Pending& w : pending) {
-      const IdPair p = sweep_pairs[w.s];
-      const double t = sweep_thresholds[w.s];
-      if (starved.count(EdgeKey(p.i, p.j)) != 0) {
-        if (!std::isfinite(w.b.hi)) FailBudget(1);
-        out[sweep[w.s]] =
-            DecideBySlack(p.i, p.j, t, w.b, w.gap, /*forced=*/true);
-        continue;
-      }
-      if (charged.insert(EdgeKey(p.i, p.j)).second) {
-        ++stats_.decided_by_oracle;
-        ProbeBoundGap(p.i, p.j, t);
-        Trace(TraceEventKind::kDecidedByOracle, p.i, p.j, t);
-      } else {
-        ++stats_.decided_by_cache;
-        Trace(TraceEventKind::kDecidedByCache, p.i, p.j, t);
-      }
-      undecided.push_back(w.s);
-      remainder.push_back(p);
+      // budget (the pairs weak knowledge helps least ship first).
+      pending.push_back({s, b, SlackRelativeGap(b), SlackRelativeGap(eff)});
+    } else {
+      charge(s);
     }
   }
-  ResolveUnknown(remainder);
+  std::unordered_set<EdgeKey, EdgeKeyHash> starved;
+  if (BudgetActive()) {
+    // Ship only as many *unique* pending pairs as the remaining budget
+    // covers — widest gap first, since a wide interval gains the most
+    // information per oracle call — and settle the starved rest by forced
+    // slack. Duplicates of a shipped pair read the cache, costing nothing
+    // extra, and each comparison is attributed exactly once (slack, oracle
+    // or cache), so the counter invariant holds even when the budget runs
+    // out partway through the batch.
+    struct Rep {
+      EdgeKey key;
+      double gap;
+    };
+    std::vector<Rep> reps;
+    std::unordered_set<EdgeKey, EdgeKeyHash> seen;
+    for (const Pending& w : pending) {
+      const EdgeKey key(sweep_pairs[w.s].i, sweep_pairs[w.s].j);
+      if (seen.insert(key).second) reps.push_back({key, w.rank});
+    }
+    const uint64_t capacity = BudgetRemaining();
+    if (reps.size() > capacity) {
+      // Stable, so equal gaps keep first-occurrence order and the
+      // partition is deterministic.
+      std::stable_sort(
+          reps.begin(), reps.end(),
+          [](const Rep& a, const Rep& b) { return a.gap > b.gap; });
+      for (size_t r = capacity; r < reps.size(); ++r) {
+        starved.insert(reps[r].key);
+      }
+    }
+  }
+  for (const Pending& w : pending) {
+    const IdPair p = sweep_pairs[w.s];
+    if (starved.count(EdgeKey(p.i, p.j)) == 0) {
+      charge(w.s);
+      continue;
+    }
+    if (!std::isfinite(w.b.hi)) FailBudget(1);
+    out[sweep[w.s]] = DecideBySlack(p.i, p.j, sweep_thresholds[w.s], w.b,
+                                    w.gap, /*forced=*/true);
+  }
+  ResolveAll(remainder);
   for (const size_t s : undecided) {
     const IdPair p = sweep_pairs[s];
     out[sweep[s]] = *graph_->Get(p.i, p.j) < sweep_thresholds[s];
@@ -692,6 +605,7 @@ std::vector<bool> BoundedResolver::FilterLessThan(std::span<const IdPair> pairs,
 
 bool BoundedResolver::PairLess(ObjectId i, ObjectId j, ObjectId k,
                                ObjectId l) {
+  for (const ObjectId id : {i, j, k, l}) CHECK_LT(id, graph_->num_objects());
   ++stats_.comparisons;
   // The event carries the left pair; the comparison has no scalar
   // threshold, so that field stays unset.
@@ -707,19 +621,17 @@ bool BoundedResolver::PairLess(ObjectId i, ObjectId j, ObjectId k,
   }
 
   std::optional<bool> decided;
-  {
+  if (dkl) {
+    // Right side known: `dist(i,j) < t`.
+    decided = DecideByScheme(i, j, Relation::kLess, *dkl);
+  } else if (dij) {
+    // Left side known: `dist(k,l) > t` (not the negation of LessThan —
+    // equality must resolve to false here and the scheme must stay exact).
+    decided = DecideByScheme(k, l, Relation::kGreater, *dij);
+  } else {
     ++stats_.bound_queries;
     Stopwatch watch;
-    if (dkl) {
-      // Right side known: `dist(i,j) < t`.
-      decided = bounder_->DecideLessThan(i, j, *dkl);
-    } else if (dij) {
-      // Left side known: `dist(k,l) > t` (not the negation of LessThan —
-      // equality must resolve to false here and the scheme must stay exact).
-      decided = bounder_->DecideGreaterThan(k, l, *dij);
-    } else {
-      decided = bounder_->DecidePairLess(i, j, k, l);
-    }
+    decided = bounder_->DecidePairLess(i, j, k, l);
     stats_.bounder_seconds += watch.ElapsedSeconds();
   }
   if (decided.has_value()) {
@@ -776,12 +688,7 @@ bool BoundedResolver::PairLess(ObjectId i, ObjectId j, ObjectId k,
         }
       }
       if (by_slack) {
-        ++stats_.decided_by_slack;
-        if (forced) ++stats_.budget_exhausted;
-        if (telemetry_ != nullptr) {
-          telemetry_->slack_realized_error.Record(gap);
-        }
-        Trace(TraceEventKind::kDecidedBySlack, i, j, TraceEvent::kUnset);
+        RecordSlack(i, j, TraceEvent::kUnset, gap, forced);
         const bool outcome = SlackMidpoint(bij) < SlackMidpoint(bkl);
         Stopwatch watch;
         bounder_->ObserveSlackPairLess(i, j, k, l, bij, bkl, policy_.eps,

@@ -231,15 +231,40 @@ class BoundedResolver {
   /// carry the kernel tier that actually executed (see stats.h).
   void StampKernelDispatch();
 
-  /// Shared tail of the batch verbs: CHECKs id ranges, drops i == j and
-  /// cached pairs, deduplicates symmetric/repeated pairs (first-occurrence
-  /// order), then resolves the remainder through the active transport.
-  void ResolveUnknown(std::span<const IdPair> pairs);
+  /// What a scalar comparison asks: dist(i, j) < t, > t or >= t.
+  enum class Relation { kLess, kGreater, kGreaterOrEqual };
 
-  /// Terminates the current resolution because the oracle transport failed
-  /// permanently for `failed_pairs` pairs: records the failure in the stats,
-  /// then throws internal::OracleTransportError inside a RunFallible scope
-  /// or CHECK-aborts outside one.
+  /// The decision cascade every scalar comparison runs (FilterLessThan runs
+  /// it per pair, with one DecideBatch in place of stage 2).
+  /// Stage 1: CHECKs both ids, counts and traces the comparison, and
+  /// answers t == +inf (true for kLess, false otherwise; decided_by_bounds)
+  /// and self or cached pairs (decided_by_cache). nullopt = unresolved.
+  std::optional<bool> DecideKnown(ObjectId i, ObjectId j, Relation rel,
+                                  double t);
+  /// Stage 2: one counted, timed scheme query — DecideLessThan for kLess,
+  /// DecideGreaterThan for kGreater, the negated DecideLessThan for
+  /// kGreaterOrEqual. Returns the scheme's truth value of the relation.
+  std::optional<bool> DecideByScheme(ObjectId i, ObjectId j, Relation rel,
+                                     double t);
+  /// Stage 3: attributes the scheme's answer `by_scheme` (a proof verb
+  /// counts a disproof as undecided, without consulting the weak oracle),
+  /// then tries the weak-intersected interval and, for kLess under a
+  /// policy, unforced slack. Reads the scheme interval only when a weak
+  /// oracle is attached or for kLess under a policy; on nullopt `*b` holds
+  /// that interval and `*eff` its weak intersection.
+  std::optional<bool> DecideUnknown(ObjectId i, ObjectId j, Relation rel,
+                                    double t, std::optional<bool> by_scheme,
+                                    Interval* b, Interval* eff);
+  /// ProvenGreaterThan / ProvenGreaterOrEqual: the cascade without an
+  /// oracle stage; whatever it leaves open counts as undecided.
+  bool Prove(ObjectId i, ObjectId j, Relation rel, double t);
+
+  /// Ends the current resolution with `status`: throws
+  /// internal::OracleTransportError inside a RunFallible scope (RunFallible
+  /// returns the Status) and CHECK-aborts with `what` outside one.
+  [[noreturn]] void Fail(Status status, const char* what);
+  /// Fails because the oracle transport failed permanently for
+  /// `failed_pairs` pairs, after recording them in oracle_failures.
   [[noreturn]] void FailTransport(Status status, uint64_t failed_pairs);
 
   /// Approximate-mode helpers (all inert under the default exact policy).
@@ -259,16 +284,19 @@ class BoundedResolver {
   /// Counted bounder read used by the slack paths (unlike ProbeBoundGap,
   /// which is stats-neutral: here the interval feeds the decision).
   Interval SlackBounds(ObjectId i, ObjectId j);
+  /// Records a slack decision of relative gap `gap` (the realized error):
+  /// counts decided_by_slack (plus budget_exhausted when `forced`), fills
+  /// the realized-error histogram and traces with `threshold`.
+  void RecordSlack(ObjectId i, ObjectId j, double threshold, double gap,
+                   bool forced);
   /// Settles `dist(i, j) < t` by slack against interval `b` with relative
-  /// gap `gap`: counts decided_by_slack (plus budget_exhausted when
-  /// `forced`), records the realized error, traces, and reports the
-  /// decision to the bounder's slack observation channel.
+  /// gap `gap`: records it (RecordSlack) and reports the decision to the
+  /// bounder's slack observation channel.
   bool DecideBySlack(ObjectId i, ObjectId j, double t, const Interval& b,
                      double gap, bool forced);
-  /// Terminates the current resolution because the oracle budget cannot
-  /// cover `requested` more pair resolutions: surfaces
-  /// Status::ResourceExhausted through RunFallible (CHECK-aborts outside a
-  /// fallible scope). Not an oracle failure — oracle_failures stays put.
+  /// Fails with Status::ResourceExhausted because the oracle budget cannot
+  /// cover `requested` more pair resolutions. Not an oracle failure —
+  /// oracle_failures stays put.
   [[noreturn]] void FailBudget(uint64_t requested);
 
   /// Weak-oracle helpers (all inert with no weak bounder attached).
@@ -282,19 +310,18 @@ class BoundedResolver {
   /// detected model violation and fails the resolution (FailWeakModel);
   /// sub-margin fp-noise disjointness clamps to a point like HybridBounder.
   Interval WeakIntersect(ObjectId i, ObjectId j, const Interval& b);
-  /// Settles `dist(i, j) < t` from the weak-intersected interval `eff`
-  /// when it clears the threshold by the decision margin: counts
-  /// decided_by_weak, traces, and reports the decision (with its advertised
-  /// error model) to the bounder's weak observation channel. Returns
-  /// nullopt when the interval straddles the threshold.
-  std::optional<bool> DecideByWeak(ObjectId i, ObjectId j, double t,
-                                   const Interval& eff);
+  /// Settles the relation from the weak-intersected interval `eff` when it
+  /// clears t by the decision margin (a proof verb only ever proves):
+  /// counts decided_by_weak, traces, and reports the decision with its
+  /// advertised error model to the bounder's weak observation channel.
+  /// nullopt when the interval does not clear t.
+  std::optional<bool> DecideByWeak(ObjectId i, ObjectId j, Relation rel,
+                                   double t, const Interval& eff);
   /// Forwards a resolved edge to the weak bounder's violation cross-check
   /// and escalates a latched violation. No-op with no weak bounder.
   void NotifyWeakResolved(ObjectId i, ObjectId j, double d);
-  /// Terminates the current resolution because the weak oracle violated
-  /// its advertised error model: surfaces Status::FailedPrecondition
-  /// through RunFallible (CHECK-aborts outside a fallible scope).
+  /// Fails with Status::FailedPrecondition because the weak oracle
+  /// violated its advertised error model.
   [[noreturn]] void FailWeakModel(const std::string& detail);
 
   /// Telemetry fast paths: the inline wrappers cost one predictable branch

@@ -192,6 +192,29 @@ TEST(ResolverTest, ProvenVerbsChargeUndecidedNotOracle) {
   EXPECT_EQ(s.comparisons, 2u);
 }
 
+// +inf never reaches the scheme (DFT's LP cannot take it): no finite
+// distance exceeds it, so both proof verbs answer false from stage 1 as a
+// bound decision, without a bound query.
+TEST(ResolverTest, ProvenVerbsDecideInfiniteThresholdWithoutTheScheme) {
+  for (const SchemeKind kind : {SchemeKind::kDft, SchemeKind::kNone}) {
+    ResolverStack stack = MakeRandomStack(8, 11);
+    SchemeOptions options;
+    options.max_distance = 1.0;
+    auto bounder = MakeAndAttachScheme(kind, stack.resolver.get(), options);
+    ASSERT_TRUE(bounder.ok()) << bounder.status();
+    stack.resolver->Distance(0, 1);
+    stack.resolver->ResetStats();
+    EXPECT_FALSE(stack.resolver->ProvenGreaterThan(2, 3, kInfDistance));
+    EXPECT_FALSE(stack.resolver->ProvenGreaterOrEqual(2, 3, kInfDistance));
+    const ResolverStats& s = stack.resolver->stats();
+    EXPECT_EQ(s.comparisons, 2u) << SchemeKindName(kind);
+    EXPECT_EQ(s.decided_by_bounds, 2u) << SchemeKindName(kind);
+    EXPECT_EQ(s.undecided, 0u) << SchemeKindName(kind);
+    EXPECT_EQ(s.bound_queries, 0u) << SchemeKindName(kind);
+    EXPECT_EQ(s.oracle_calls, 0u) << SchemeKindName(kind);
+  }
+}
+
 TEST(ResolverTest, PairLessWithBothKnownUsesCache) {
   ResolverStack stack = MakeRandomStack(6, 9);
   stack.resolver->Distance(0, 1);
@@ -330,6 +353,16 @@ TEST(ResolverBatchTest, OutOfRangeIdsDie) {
   EXPECT_DEATH(stack.resolver->FilterLessThan(
                    std::vector<IdPair>{IdPair{6, 0}}, 1.0),
                "Check");
+  // The scalar verbs check too, before any id reaches the scheme's
+  // per-object tables.
+  TriBounder tri(stack.graph.get());
+  stack.resolver->SetBounder(&tri);
+  stack.resolver->Distance(0, 1);
+  EXPECT_DEATH(stack.resolver->LessThan(0, 6, 0.5), "Check");
+  EXPECT_DEATH(stack.resolver->ProvenGreaterThan(6, 1, 0.5), "Check");
+  EXPECT_DEATH(stack.resolver->ProvenGreaterOrEqual(1, 6, 0.5), "Check");
+  EXPECT_DEATH(stack.resolver->PairLess(0, 1, 2, 6), "Check");
+  EXPECT_DEATH(stack.resolver->PairLess(6, 2, 0, 1), "Check");
 }
 
 // Batched comparisons must return ground truth under every scheme — and

@@ -52,8 +52,6 @@
 //   --weak-seed=<seed>       seed of the per-pair error draw (default: --seed)
 //   --weak-cost=<seconds>    simulated per-call weak-oracle latency; lands
 //                            in weak_simulated_seconds / completion time
-//   --save-graph=<path>      checkpoint resolved distances afterwards
-//   --load-graph=<path>      start from a checkpoint (same dataset/seed!)
 //   --threads=<k>            cap parallel batch workers (0 = env/hardware)
 //   --simd=scalar|sse2|avx2|auto  pin the bound-kernel tier (default: the
 //                            METRICPROX_SIMD env var, else the CPU probe;
@@ -146,7 +144,6 @@
 #include "core/simd.h"
 #include "core/stats.h"
 #include "data/datasets.h"
-#include "graph/graph_io.h"
 #include "harness/flags.h"
 #include "harness/table.h"
 #include "obs/hub.h"
@@ -250,8 +247,6 @@ int Run(const std::string& command, const Flags& flags) {
   const double oracle_cost = flags.GetDouble("oracle-cost", 0.0);
   const bool verify = flags.GetBool("verify", false);
   const bool audit = flags.GetBool("audit", false);
-  const std::string save_graph = flags.GetString("save-graph", "");
-  const std::string load_graph = flags.GetString("load-graph", "");
   const int64_t threads_raw = flags.GetInt("threads", 0);
 
   RetryOptions retry;
@@ -590,22 +585,9 @@ int Run(const std::string& command, const Flags& flags) {
   // duration of the command.
   const auto execute_pass =
       [&](Telemetry* pass_telemetry, bool with_cert, bool quiet,
-          PartialDistanceGraph* graph_out, ResolverStats* stats_out,
-          CertificationStats* cert_out, double* checksum_out,
-          double* wall_out) -> int {
+          ResolverStats* stats_out, CertificationStats* cert_out,
+          double* checksum_out, double* wall_out) -> int {
     PartialDistanceGraph graph(n);
-    if (!load_graph.empty()) {
-      StatusOr<PartialDistanceGraph> loaded = LoadGraph(load_graph);
-      if (!loaded.ok()) return Fail(loaded.status().ToString());
-      if (loaded->num_objects() != n) {
-        return Fail("checkpoint has a different object count");
-      }
-      graph = std::move(*loaded);
-      if (!quiet) {
-        std::printf("resumed %zu resolved distances from %s\n",
-                    graph.num_edges(), load_graph.c_str());
-      }
-    }
     if (store != nullptr && !store_no_warm_start) {
       const std::vector<WeightedEdge> warm = store->Edges();
       graph.InsertEdges(warm);
@@ -694,11 +676,9 @@ int Run(const std::string& command, const Flags& flags) {
       stats_out->weak_simulated_seconds = weak_oracle->simulated_seconds();
     }
     if (certifying.has_value()) *cert_out = certifying->stats();
-    *graph_out = std::move(graph);
     return 0;
   };
 
-  PartialDistanceGraph graph(n);  // the (final) pass's graph, for --save-graph
   ResolverStats stats;
   CertificationStats certification;
   double checksum = 0.0;
@@ -708,14 +688,13 @@ int Run(const std::string& command, const Flags& flags) {
     CertificationStats bare_certs;
     double bare_checksum = 0.0;
     double bare_wall = 0.0;
-    PartialDistanceGraph bare_graph(n);
     int rc = execute_pass(/*pass_telemetry=*/nullptr, /*with_cert=*/false,
-                          /*quiet=*/true, &bare_graph, &bare_stats,
-                          &bare_certs, &bare_checksum, &bare_wall);
+                          /*quiet=*/true, &bare_stats, &bare_certs,
+                          &bare_checksum, &bare_wall);
     if (rc != 0) return rc;
     attach_telemetry();
     rc = execute_pass(telemetry_ptr, /*with_cert=*/true, /*quiet=*/false,
-                      &graph, &stats, &certification, &checksum, &wall);
+                      &stats, &certification, &checksum, &wall);
     if (rc != 0) return rc;
 
     // Byte-level comparison: the audit asserts bit-identical outputs, not
@@ -807,8 +786,8 @@ int Run(const std::string& command, const Flags& flags) {
   } else {
     attach_telemetry();
     int rc = execute_pass(telemetry_ptr, /*with_cert=*/false,
-                          /*quiet=*/false, &graph, &stats, &certification,
-                          &checksum, &wall);
+                          /*quiet=*/false, &stats, &certification, &checksum,
+                          &wall);
     if (rc != 0) return rc;
   }
 
@@ -877,12 +856,6 @@ int Run(const std::string& command, const Flags& flags) {
   if (verifier != nullptr) {
     std::printf("metric spot checks passed: %llu\n",
                 static_cast<unsigned long long>(verifier->checks_performed()));
-  }
-  if (!save_graph.empty()) {
-    const Status s = SaveGraph(graph, save_graph);
-    if (!s.ok()) return Fail(s.ToString());
-    std::printf("checkpointed %zu resolved distances to %s\n",
-                graph.num_edges(), save_graph.c_str());
   }
   if (store != nullptr) {
     if (persistent->store_write_failures() > 0) {
