@@ -12,13 +12,14 @@ KnnGraph BuildKnnGraph(BoundedResolver* resolver,
   const ObjectId n = resolver->num_objects();
   CHECK_GT(n, options.k) << "need more objects than neighbors";
 
-  // One exact k-NN query per object, each running the batched triage
-  // rounds in KnnSearch; distances resolved while scanning u are cached in
-  // the shared graph and reused for free when scanning v — the symmetry
-  // KNNrp also exploits.
+  // One exact k-NN query per object, all reusing one set of KnnSearch
+  // buffers; distances resolved while scanning u are cached in the shared
+  // graph and reused for free when scanning v — the symmetry KNNrp also
+  // exploits.
   KnnGraph graph(n);
+  internal::KnnScratch scratch;
   for (ObjectId u = 0; u < n; ++u) {
-    graph[u] = KnnSearch(resolver, u, options.k);
+    graph[u] = internal::KnnSearch(resolver, u, options.k, &scratch);
   }
   return graph;
 }

@@ -31,11 +31,13 @@ struct KnnGraphOptions {
 ///
 /// For each object u, candidates are visited in ascending order of their
 /// current lower bound, so near neighbors are resolved early and shrink the
-/// running k-th-distance threshold t; every remaining candidate is admitted
-/// through `LessThan(u, v, t)`, which lets the scheme discard it without an
-/// oracle call once LB(u, v) >= t. Distances resolved while scanning u are
-/// cached in the shared graph and reused for free when scanning v
-/// (the symmetry the original algorithm also exploits).
+/// running k-th-distance threshold t; each remaining candidate is skipped
+/// when `ProvenGreaterThan(u, v, t)` holds, which lets the scheme discard
+/// it without an oracle call once LB(u, v) > t, and is otherwise resolved
+/// on its own, so t tightens after every admit (KnnSearch's sequential
+/// scan). Distances resolved while scanning u are cached in the shared
+/// graph and reused for free when scanning v (the symmetry the original
+/// algorithm also exploits).
 ///
 /// Output is exactly the brute-force k-NN graph (ties broken by id).
 KnnGraph BuildKnnGraph(BoundedResolver* resolver,

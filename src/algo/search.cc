@@ -1,7 +1,7 @@
 #include "algo/search.h"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 
 #include "core/logging.h"
 
@@ -9,15 +9,12 @@ namespace metricprox {
 
 namespace {
 
-struct Candidate {
-  double lower_bound;
-  ObjectId id;
-};
+using internal::KnnCandidate;
 
 // Heap order for std::make_heap / std::pop_heap: the top is the smallest
 // (lower bound, id), so pops come out in ascending total order.
 struct CandidateAfter {
-  bool operator()(const Candidate& a, const Candidate& b) const {
+  bool operator()(const KnnCandidate& a, const KnnCandidate& b) const {
     if (a.lower_bound != b.lower_bound) return a.lower_bound > b.lower_bound;
     return a.id > b.id;
   }
@@ -30,95 +27,109 @@ struct HeapLess {
   }
 };
 
-// Candidates triaged between two oracle round-trips. The running k-th
-// distance only shrinks, so a candidate proven farther at triage time stays
-// discardable after later admits — chunking never costs exactness, it only
-// trades incumbent freshness for batch size.
-constexpr size_t kKnnChunk = 32;
-
 }  // namespace
 
 std::vector<KnnNeighbor> KnnSearch(BoundedResolver* resolver, ObjectId query,
                                    uint32_t k) {
+  internal::KnnScratch scratch;
+  return internal::KnnSearch(resolver, query, k, &scratch);
+}
+
+std::vector<KnnNeighbor> internal::KnnSearch(BoundedResolver* resolver,
+                                             ObjectId query, uint32_t k,
+                                             KnnScratch* scratch) {
   CHECK(resolver != nullptr);
+  CHECK(scratch != nullptr);
   CHECK_GE(k, 1u);
   const ObjectId n = resolver->num_objects();
   CHECK_GT(n, k);
   CHECK_LT(query, n);
 
-  // One bound pass over the row (query, ·) orders every candidate; the
-  // heap hands them out lazily, in (lower bound, id) order.
-  std::vector<ObjectId> targets;
-  targets.reserve(n - 1);
-  for (ObjectId v = 0; v < n; ++v) {
-    if (v != query) targets.push_back(v);
+  // One bound pass over the row (query, ·). The targets are every object,
+  // the query included (BoundsFrom answers it Exact(0)), so the list is the
+  // same ascending one for every query.
+  std::vector<ObjectId>& targets = scratch->targets;
+  if (targets.size() != n) {
+    targets.resize(n);
+    std::iota(targets.begin(), targets.end(), ObjectId{0});
   }
-  std::vector<Interval> bounds(targets.size());
+  std::vector<Interval>& bounds = scratch->bounds;
+  bounds.resize(n);
   resolver->BoundsFrom(query, targets, bounds);
-  std::vector<Candidate> candidates(targets.size());
-  for (size_t c = 0; c < targets.size(); ++c) {
-    candidates[c] = Candidate{bounds[c].lo, targets[c]};
+
+  // U_k, the k-th smallest upper bound in the row, by insertion into k
+  // sorted slots.
+  std::vector<double> upper(k, kInfDistance);
+  for (ObjectId v = 0; v < n; ++v) {
+    const double hi = bounds[v].hi;
+    if (v == query || !(hi < upper.back())) continue;
+    size_t s = k - 1;
+    for (; s > 0 && upper[s - 1] > hi; --s) upper[s] = upper[s - 1];
+    upper[s] = hi;
+  }
+  // Candidate horizon H: only candidates with lb <= H enter the heap, and
+  // the scan is still the unfiltered one, with the same output,
+  // comparisons, bound queries and oracle calls:
+  // - The k candidates achieving U_k have lb <= U_k <= H, so they are
+  //   popped before any candidate outside the horizon.
+  // - Once they are popped, t <= U_k: either they are the k nearest, each
+  //   at d <= U_k, or one of them was skipped, rejected or evicted when
+  //   t <= d <= U_k, and t only shrinks.
+  // - t + margin(t) is monotone in t, so the scan stops at or before the
+  //   first candidate outside the horizon.
+  // An upper bound may undershoot its distance by rounding, which the
+  // verbs' decision margin absorbs; so only t <= U_k + margin(U_k) is
+  // certain, and H adds the margin once more on top of that. U_k = +inf
+  // (say, the first query on an empty graph) filters nothing.
+  const double reach = upper.back() + BoundDecisionMargin(upper.back());
+  const double horizon = reach + BoundDecisionMargin(reach);
+  std::vector<KnnCandidate>& candidates = scratch->candidates;
+  candidates.clear();
+  for (ObjectId v = 0; v < n; ++v) {
+    if (v != query && bounds[v].lo <= horizon) {
+      candidates.push_back(KnnCandidate{bounds[v].lo, v});
+    }
   }
   std::make_heap(candidates.begin(), candidates.end(), CandidateAfter());
   const auto pop_nearest = [&candidates] {
     std::pop_heap(candidates.begin(), candidates.end(), CandidateAfter());
-    const Candidate next = candidates.back();
+    const KnnCandidate next = candidates.back();
     candidates.pop_back();
     return next;
   };
 
-  // Seed the heap with the first k candidates, resolved in one batch.
-  std::priority_queue<KnnNeighbor, std::vector<KnnNeighbor>, HeapLess> best;
-  std::vector<IdPair> batch;
+  // The first k candidates are admitted unconditionally: resolve them in
+  // one batch.
+  std::vector<IdPair> seeds;
   for (uint32_t c = 0; c < k; ++c) {
-    batch.push_back(IdPair{query, pop_nearest().id});
+    seeds.push_back(IdPair{query, pop_nearest().id});
   }
-  resolver->ResolveAll(batch);
-  for (const IdPair& p : batch) {
-    best.push(KnnNeighbor{p.j, resolver->Distance(query, p.j)});
+  resolver->ResolveAll(seeds);
+  std::vector<KnnNeighbor> best;
+  for (const IdPair& p : seeds) {
+    best.push_back(KnnNeighbor{p.j, resolver->Distance(query, p.j)});
   }
+  std::make_heap(best.begin(), best.end(), HeapLess());
 
-  // Chunked rounds over the remaining candidates: a bounds-only sweep
-  // against the current k-th distance, one batched resolution of the
-  // survivors, then sequential admits under the (distance, id) tie rule.
-  // The first candidate whose ordering lower bound already clears the
-  // threshold ends the scan: every later one has a lower bound at least as
-  // large, and the threshold only shrinks, so all of them are farther.
-  std::vector<ObjectId> survivors;
-  bool rest_farther = false;
-  while (!candidates.empty() && !rest_farther) {
-    const double t = best.top().distance;
-    const double cutoff = t + BoundDecisionMargin(t);
-    batch.clear();
-    survivors.clear();
-    for (size_t c = 0; c < kKnnChunk && !candidates.empty(); ++c) {
-      const Candidate next = pop_nearest();
-      if (next.lower_bound > cutoff) {
-        rest_farther = true;
-        break;
-      }
-      if (resolver->ProvenGreaterThan(query, next.id, t)) continue;
-      batch.push_back(IdPair{query, next.id});
-      survivors.push_back(next.id);
-    }
-    resolver->ResolveAll(batch);
-    for (const ObjectId v : survivors) {
-      const double d = resolver->Distance(query, v);
-      const double top = best.top().distance;
-      const ObjectId tid = best.top().id;
-      if (d < top || (d == top && v < tid)) {
-        best.pop();
-        best.push(KnnNeighbor{v, d});
-      }
+  // The sequential scan, against the k-th distance t as it stands after
+  // every admit. The first candidate whose ordering lower bound already
+  // clears t ends it: every later one has a lower bound at least as large,
+  // and t only shrinks, so all of them are farther.
+  while (!candidates.empty()) {
+    const double t = best.front().distance;
+    const KnnCandidate next = pop_nearest();
+    if (next.lower_bound > t + BoundDecisionMargin(t)) break;
+    if (resolver->ProvenGreaterThan(query, next.id, t)) continue;
+    const double d = resolver->Distance(query, next.id);
+    if (d < t || (d == t && next.id < best.front().id)) {
+      std::pop_heap(best.begin(), best.end(), HeapLess());
+      best.back() = KnnNeighbor{next.id, d};
+      std::push_heap(best.begin(), best.end(), HeapLess());
     }
   }
 
-  std::vector<KnnNeighbor> out(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    out[i] = best.top();
-    best.pop();
-  }
-  return out;
+  std::sort_heap(best.begin(), best.end(), HeapLess());
+  return best;
 }
 
 std::vector<KnnNeighbor> RangeSearch(BoundedResolver* resolver,

@@ -12,17 +12,41 @@ namespace metricprox {
 
 /// Exact k-nearest-neighbor query for a single object — the workload LAESA
 /// was originally designed for, re-authored against the bound framework.
-/// One BoundsFrom pass bounds every candidate; they are then visited
-/// lazily in ascending (lower bound, id) order, each admitted through a
-/// proven-farther test, and the scan stops at the first candidate whose
-/// ordering lower bound already clears the running k-th distance — so the
-/// scheme discards most candidates without an oracle call, and most
-/// without even a comparison.
+/// One BoundsFrom pass bounds every candidate, and the k with the smallest
+/// lower bounds are resolved in one batch. The rest are then visited one at
+/// a time in ascending (lower bound, id) order against the current k-th
+/// distance: skipped when proven farther, otherwise resolved and admitted.
+/// The scan stops at the first candidate whose lower bound already clears
+/// the k-th distance, so the scheme discards most candidates without an
+/// oracle call, and most without even a comparison; and since the k-th
+/// distance is re-read after every admit, no candidate is resolved that
+/// the sequential algorithm would have proven farther.
 ///
 /// Returns the k nearest (distance, id)-lexicographic neighbors of `query`,
 /// ascending — identical to a brute-force scan.
 std::vector<KnnNeighbor> KnnSearch(BoundedResolver* resolver, ObjectId query,
                                    uint32_t k);
+
+namespace internal {
+
+struct KnnCandidate {
+  double lower_bound;
+  ObjectId id;
+};
+
+/// The per-query buffers of KnnSearch that grow with n. A k-NN graph build
+/// keeps one across its queries, so no query allocates in proportion to n.
+struct KnnScratch {
+  std::vector<ObjectId> targets;  // 0 .. n-1: the row every query bounds
+  std::vector<Interval> bounds;   // the query's row, indexed by object
+  std::vector<KnnCandidate> candidates;
+};
+
+/// KnnSearch over caller-owned buffers.
+std::vector<KnnNeighbor> KnnSearch(BoundedResolver* resolver, ObjectId query,
+                                   uint32_t k, KnnScratch* scratch);
+
+}  // namespace internal
 
 /// Exact metric range query: every object within `radius` of `query`
 /// (inclusive), ascending by (distance, id). Objects whose lower bound

@@ -43,7 +43,7 @@ void BoundedResolver::SetPolicy(const ResolutionPolicy& policy) {
 
 Interval BoundedResolver::SlackBounds(ObjectId i, ObjectId j) {
   ++stats_.bound_queries;
-  Stopwatch watch;
+  SampledStopwatch watch(clock_sampler_);
   const Interval bounds = bounder_->Bounds(i, j);
   stats_.bounder_seconds += watch.ElapsedSeconds();
   return bounds;
@@ -62,7 +62,7 @@ bool BoundedResolver::DecideBySlack(ObjectId i, ObjectId j, double t,
                                     bool forced) {
   RecordSlack(i, j, t, gap, forced);
   const bool outcome = SlackMidpoint(b) < t;
-  Stopwatch watch;
+  SampledStopwatch watch(clock_sampler_);
   bounder_->ObserveSlackLessThan(i, j, t, b, policy_.eps, outcome);
   stats_.bounder_seconds += watch.ElapsedSeconds();
   return outcome;
@@ -115,7 +115,7 @@ std::optional<bool> BoundedResolver::DecideByWeak(ObjectId i, ObjectId j,
   if (!outcome.has_value()) return std::nullopt;
   ++stats_.decided_by_weak;
   Trace(TraceEventKind::kDecidedByWeak, i, j, t);
-  Stopwatch watch;
+  SampledStopwatch watch(clock_sampler_);
   if (rel == Relation::kGreater) {
     bounder_->ObserveWeakGreaterThan(i, j, t, weak_->ModelFor(i, j),
                                      /*outcome=*/true);
@@ -186,7 +186,10 @@ double BoundedResolver::Distance(ObjectId i, ObjectId j) {
     return *cached;
   }
   if (BudgetActive() && BudgetRemaining() == 0) FailBudget(1);
-  Stopwatch oracle_watch;
+  // With telemetry attached every call is timed: the latency histogram and
+  // the oracle_call event need each value.
+  SampledStopwatch oracle_watch(clock_sampler_,
+                                /*exact=*/telemetry_ != nullptr);
   StatusOr<double> resolved = oracle_->TryDistance(i, j);
   const double oracle_elapsed = oracle_watch.ElapsedSeconds();
   stats_.oracle_seconds += oracle_elapsed;
@@ -206,7 +209,7 @@ double BoundedResolver::Distance(ObjectId i, ObjectId j) {
   }
 
   graph_->Insert(i, j, d);
-  Stopwatch bounder_watch;
+  SampledStopwatch bounder_watch(clock_sampler_);
   bounder_->OnEdgeResolved(i, j, d);
   stats_.bounder_seconds += bounder_watch.ElapsedSeconds();
   // Every paid resolution doubles as a free ground-truth check of the weak
@@ -221,7 +224,7 @@ Interval BoundedResolver::Bounds(ObjectId i, ObjectId j) {
     return Interval::Exact(*cached);
   }
   ++stats_.bound_queries;
-  Stopwatch watch;
+  SampledStopwatch watch(clock_sampler_);
   const Interval bounds = bounder_->Bounds(i, j);
   stats_.bounder_seconds += watch.ElapsedSeconds();
   return bounds;
@@ -230,13 +233,34 @@ Interval BoundedResolver::Bounds(ObjectId i, ObjectId j) {
 void BoundedResolver::BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
                                  std::span<Interval> out) {
   CHECK_EQ(targets.size(), out.size());
+  const ObjectId n = graph_->num_objects();
+  CHECK_LT(q, n);
+  bool ascending = true;
+  for (size_t k = 0; k < targets.size(); ++k) {
+    CHECK_LT(targets[k], n);
+    ascending = ascending && (k == 0 || targets[k - 1] <= targets[k]);
+  }
+  // Cached pairs: one merge with q's id-sorted column when the targets
+  // ascend, one lookup per target otherwise.
+  const PartialDistanceGraph::AdjacencyColumns column =
+      graph_->AdjacencyView(q);
+  size_t c = 0;
   row_targets_.clear();
   row_slots_.clear();
   for (size_t k = 0; k < targets.size(); ++k) {
     const ObjectId v = targets[k];
+    std::optional<double> cached;
+    if (ascending) {
+      while (c < column.ids.size() && column.ids[c] < v) ++c;
+      if (c < column.ids.size() && column.ids[c] == v) {
+        cached = column.distances[c];
+      }
+    } else {
+      cached = graph_->Get(q, v);
+    }
     if (v == q) {
       out[k] = Interval::Exact(0.0);
-    } else if (const std::optional<double> cached = graph_->Get(q, v)) {
+    } else if (cached.has_value()) {
       out[k] = Interval::Exact(*cached);
     } else {
       row_targets_.push_back(v);
@@ -287,7 +311,7 @@ std::optional<bool> BoundedResolver::DecideKnown(ObjectId i, ObjectId j,
 std::optional<bool> BoundedResolver::DecideByScheme(ObjectId i, ObjectId j,
                                                     Relation rel, double t) {
   ++stats_.bound_queries;
-  Stopwatch watch;
+  SampledStopwatch watch(clock_sampler_);
   std::optional<bool> decided = rel == Relation::kGreater
                                     ? bounder_->DecideGreaterThan(i, j, t)
                                     : bounder_->DecideLessThan(i, j, t);
@@ -630,7 +654,7 @@ bool BoundedResolver::PairLess(ObjectId i, ObjectId j, ObjectId k,
     decided = DecideByScheme(k, l, Relation::kGreater, *dij);
   } else {
     ++stats_.bound_queries;
-    Stopwatch watch;
+    SampledStopwatch watch(clock_sampler_);
     decided = bounder_->DecidePairLess(i, j, k, l);
     stats_.bounder_seconds += watch.ElapsedSeconds();
   }
@@ -664,7 +688,7 @@ bool BoundedResolver::PairLess(ObjectId i, ObjectId j, ObjectId k,
             dij ? WeakModel{*dij, 1.0, 0.0} : weak_->ModelFor(i, j);
         const WeakModel mkl =
             dkl ? WeakModel{*dkl, 1.0, 0.0} : weak_->ModelFor(k, l);
-        Stopwatch weak_watch;
+        SampledStopwatch weak_watch(clock_sampler_);
         bounder_->ObserveWeakPairLess(i, j, k, l, mij, mkl, *by_weak);
         stats_.bounder_seconds += weak_watch.ElapsedSeconds();
         return *by_weak;
@@ -690,7 +714,7 @@ bool BoundedResolver::PairLess(ObjectId i, ObjectId j, ObjectId k,
       if (by_slack) {
         RecordSlack(i, j, TraceEvent::kUnset, gap, forced);
         const bool outcome = SlackMidpoint(bij) < SlackMidpoint(bkl);
-        Stopwatch watch;
+        SampledStopwatch watch(clock_sampler_);
         bounder_->ObserveSlackPairLess(i, j, k, l, bij, bkl, policy_.eps,
                                        outcome);
         stats_.bounder_seconds += watch.ElapsedSeconds();

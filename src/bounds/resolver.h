@@ -127,7 +127,9 @@ class BoundedResolver {
   /// Exact(0) for targets[k] == q, Exact(d) for resolved pairs — with every
   /// remaining target bounded by the scheme in one Bounder::BoundsFrom
   /// call. Counts one bound query per unresolved target, as the per-pair
-  /// loop would. `out` has the length of `targets`.
+  /// loop would. `out` has the length of `targets`. CHECKs q and every
+  /// target. Targets in ascending order find their cached pairs in one
+  /// merge with q's adjacency column, others by one lookup each.
   void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
                   std::span<Interval> out);
 
@@ -352,6 +354,9 @@ class BoundedResolver {
   std::vector<size_t> row_slots_;
   std::vector<Interval> row_bounds_;
   int fallible_depth_ = 0;
+  // Picks the calls the per-pair timers (bounder_seconds, and
+  // oracle_seconds on the scalar path) read the clock on.
+  ClockSampler clock_sampler_;
   Status oracle_status_;
 };
 

@@ -57,8 +57,15 @@ namespace metricprox {
 //                       is also in oracle_calls, so batch_resolved_pairs
 //                       <= oracle_calls always holds.
 //   bounder_seconds     wall time inside the bounder — the paper's "CPU
-//                       overhead".
+//                       overhead". A sampled estimate: the per-pair sites
+//                       read the clock on one call in
+//                       ClockSampler::kStride and count that many times
+//                       the reading; the per-row and per-batch sites
+//                       (BoundsFrom, ResolveAll, FilterLessThan) are exact.
 //   oracle_seconds      wall time inside the oracle (real, not simulated).
+//                       A sampled estimate on scalar calls, like
+//                       bounder_seconds, unless telemetry is attached;
+//                       exact on batch round-trips.
 //   batch_oracle_seconds subset of oracle_seconds spent in BatchDistance.
 //   simulated_oracle_seconds simulated latency from SimulatedCostOracle.
 //   weak_simulated_seconds simulated latency of fresh weak-oracle
@@ -208,6 +215,53 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// Picks the calls a per-call timer reads the clock on. Two steady_clock
+/// reads cost about as much as one cheap bound query, so a hot per-pair
+/// site times one call in kStride and counts kStride times the reading,
+/// an unbiased estimate of the site's total. The pick is a xorshift32
+/// draw, not a counter, so that no fixed call pattern aliases the stride.
+class ClockSampler {
+ public:
+  static constexpr int kStrideBits = 6;
+  static constexpr uint32_t kStride = 1u << kStrideBits;
+
+  /// True on about one call in kStride.
+  bool Draw() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 17;
+    state_ ^= state_ << 5;
+    return (state_ >> (32 - kStrideBits)) == 0;
+  }
+
+ private:
+  uint32_t state_ = 0x9E3779B9u;
+};
+
+/// One call's timing under a ClockSampler: the clock is read only on a
+/// drawn call, whose ElapsedSeconds() is kStride times the reading; other
+/// calls report 0. With `exact` the call is always timed and reports the
+/// plain reading.
+class SampledStopwatch {
+ public:
+  explicit SampledStopwatch(ClockSampler& sampler, bool exact = false)
+      : weight_(exact            ? 1.0
+                : sampler.Draw() ? double{ClockSampler::kStride}
+                                 : 0.0) {
+    if (weight_ != 0.0) start_ = Clock::now();
+  }
+
+  double ElapsedSeconds() const {
+    if (weight_ == 0.0) return 0.0;
+    return weight_ *
+           std::chrono::duration<double>(Clock::now() - start_).count();
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  double weight_;
+  Clock::time_point start_{};
 };
 
 }  // namespace metricprox

@@ -18,9 +18,11 @@ const std::vector<FanoutTarget>*& FanoutSlot() {
 
 ScopedSpan::ScopedSpan(Telemetry* telemetry, std::string_view name,
                        uint64_t count)
-    : name_(name), count_(count) {
+    : count_(count) {
   if (telemetry == nullptr || !telemetry->tracing()) return;
   telemetry_ = telemetry;
+  name_ = name;
+  start_ = std::chrono::steady_clock::now();
   span_id_ = telemetry_->NextSpanId();
   auto& stack = SpanStack();
   parent_ = stack.empty() ? 0 : stack.back();
@@ -49,7 +51,9 @@ ScopedSpan::~ScopedSpan() {
   event.link_span_id = link_span_id_;
   event.name = name_;
   event.count = count_;
-  event.seconds = watch_.ElapsedSeconds();
+  event.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start_)
+                      .count();
   telemetry_->Emit(std::move(event));
 }
 

@@ -1,12 +1,12 @@
 #ifndef METRICPROX_OBS_SPAN_H_
 #define METRICPROX_OBS_SPAN_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/stats.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -22,8 +22,9 @@ namespace metricprox {
 /// TraceEvent::link_span_id instead.
 ///
 /// A null telemetry (or one with no sink) makes the span fully inert: no
-/// ids are allocated, nothing is pushed on the thread's stack, and both
-/// events are skipped — the traced-vs-untraced A/B stays byte-identical.
+/// ids are allocated, nothing is pushed on the thread's stack, the name is
+/// not copied, the clock is not read, and both events are skipped — the
+/// traced-vs-untraced A/B stays byte-identical.
 class ScopedSpan {
  public:
   /// `name` is the span vocabulary word ("resolve", "bound",
@@ -55,7 +56,7 @@ class ScopedSpan {
   uint64_t parent_ = 0;
   uint64_t link_span_id_ = 0;
   uint64_t count_ = 0;
-  Stopwatch watch_;
+  std::chrono::steady_clock::time_point start_{};  // set only when active
 };
 
 /// One mirror destination for FanoutEmit: a (session-tagged) Telemetry

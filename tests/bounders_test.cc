@@ -142,8 +142,9 @@ TEST_P(BounderPropertyTest, BoundsAlwaysContainTrueDistance) {
 }
 
 // The one-to-many verb is the per-pair loop, bit for bit: through the
-// resolver (q itself and resolved targets included, repeats allowed) every
-// interval matches Bounds(), and bound_queries advances by the same count.
+// resolver (q itself and resolved targets included, repeats allowed, in
+// ascending or any order) every interval matches Bounds(), and
+// bound_queries advances by the same count.
 TEST_P(BounderPropertyTest, BoundsFromMatchesPerPairBounds) {
   const auto [kind, seed] = GetParam();
   const ObjectId n = 24;
@@ -157,9 +158,12 @@ TEST_P(BounderPropertyTest, BoundsFromMatchesPerPairBounds) {
   std::vector<ObjectId> everyone(n);
   std::iota(everyone.begin(), everyone.end(), ObjectId{0});
   const std::vector<ObjectId> subset = {5, 1, 17, 1, 23, 0, 12};
+  // Ascending rows take the merged cache pass, repeats included.
+  const std::vector<ObjectId> ascending = {0, 1, 1, 12, 17, 17, 23};
   const ResolverStats& stats = stack.resolver->stats();
   for (ObjectId q = 0; q < n; ++q) {
-    const std::vector<ObjectId>* const rows[] = {&everyone, &subset};
+    const std::vector<ObjectId>* const rows[] = {&everyone, &subset,
+                                                 &ascending};
     for (const std::vector<ObjectId>* targets : rows) {
       const uint64_t before = stats.bound_queries;
       std::vector<Interval> want(targets->size());

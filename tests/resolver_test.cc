@@ -363,6 +363,14 @@ TEST(ResolverBatchTest, OutOfRangeIdsDie) {
   EXPECT_DEATH(stack.resolver->ProvenGreaterOrEqual(1, 6, 0.5), "Check");
   EXPECT_DEATH(stack.resolver->PairLess(0, 1, 2, 6), "Check");
   EXPECT_DEATH(stack.resolver->PairLess(6, 2, 0, 1), "Check");
+  // So does the row verb, for the source and for every target.
+  std::vector<Interval> row(2);
+  EXPECT_DEATH(
+      stack.resolver->BoundsFrom(6, std::vector<ObjectId>{0, 1}, row),
+      "Check");
+  EXPECT_DEATH(
+      stack.resolver->BoundsFrom(0, std::vector<ObjectId>{2, 6}, row),
+      "Check");
 }
 
 // Batched comparisons must return ground truth under every scheme — and

@@ -1,13 +1,17 @@
 #include "algo/search.h"
 
 #include <algorithm>
-#include <queue>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algo/reference.h"
 #include "bounds/scheme.h"
+#include "data/synthetic.h"
+#include "oracle/string_oracle.h"
 #include "tests/test_util.h"
 
 namespace metricprox {
@@ -46,122 +50,191 @@ TEST_P(KnnSearchSchemeTest, SchemeIndependentResult) {
   }
 }
 
-// Reference triage for KnnSearch's lazy one: every candidate bounded pair
-// by pair and fully sorted up front, and every one past the seed triaged
-// through ProvenGreaterThan.
-std::vector<KnnNeighbor> FullTriageKnnSearch(BoundedResolver* resolver,
-                                             ObjectId query, uint32_t k) {
-  struct Candidate {
-    double lower_bound;
-    ObjectId id;
-  };
-  const ObjectId n = resolver->num_objects();
-  std::vector<Candidate> candidates;
-  for (ObjectId v = 0; v < n; ++v) {
-    if (v == query) continue;
-    candidates.push_back(Candidate{resolver->Bounds(query, v).lo, v});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.lower_bound != b.lower_bound) {
-                return a.lower_bound < b.lower_bound;
-              }
-              return a.id < b.id;
-            });
-  const auto heap_less = [](const KnnNeighbor& a, const KnnNeighbor& b) {
+struct KnnHeapLess {
+  bool operator()(const KnnNeighbor& a, const KnnNeighbor& b) const {
     if (a.distance != b.distance) return a.distance < b.distance;
     return a.id < b.id;
-  };
-  std::priority_queue<KnnNeighbor, std::vector<KnnNeighbor>,
-                      decltype(heap_less)>
-      best(heap_less);
-  std::vector<IdPair> batch;
-  for (size_t c = 0; c < k; ++c) {
-    batch.push_back(IdPair{query, candidates[c].id});
   }
-  resolver->ResolveAll(batch);
-  for (size_t c = 0; c < k; ++c) {
-    const ObjectId v = candidates[c].id;
-    best.push(KnnNeighbor{v, resolver->Distance(query, v)});
+};
+
+// Every candidate of `query`, bounded pair by pair and fully sorted by
+// (lower bound, id).
+std::vector<ObjectId> SortedCandidates(BoundedResolver* resolver,
+                                       ObjectId query) {
+  std::vector<std::pair<double, ObjectId>> order;
+  for (ObjectId v = 0; v < resolver->num_objects(); ++v) {
+    if (v != query) order.emplace_back(resolver->Bounds(query, v).lo, v);
   }
-  constexpr size_t kChunk = 32;
-  std::vector<ObjectId> survivors;
-  for (size_t begin = k; begin < candidates.size(); begin += kChunk) {
-    const size_t end = std::min(candidates.size(), begin + kChunk);
-    const double t = best.top().distance;
-    batch.clear();
-    survivors.clear();
-    for (size_t c = begin; c < end; ++c) {
-      const ObjectId v = candidates[c].id;
-      if (resolver->ProvenGreaterThan(query, v, t)) continue;
-      batch.push_back(IdPair{query, v});
-      survivors.push_back(v);
-    }
-    resolver->ResolveAll(batch);
-    for (const ObjectId v : survivors) {
-      const double d = resolver->Distance(query, v);
-      const double top = best.top().distance;
-      const ObjectId tid = best.top().id;
-      if (d < top || (d == top && v < tid)) {
-        best.pop();
-        best.push(KnnNeighbor{v, d});
-      }
-    }
-  }
-  std::vector<KnnNeighbor> out(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    out[i] = best.top();
-    best.pop();
-  }
-  return out;
+  std::sort(order.begin(), order.end());
+  std::vector<ObjectId> ids;
+  for (const auto& [lower_bound, v] : order) ids.push_back(v);
+  return ids;
 }
 
-// Stopping at the first candidate whose ordering lower bound clears the
-// threshold drops only comparisons: over a whole k-NN graph, on both
-// transports, the survivors — hence the output and oracle_calls — are the
-// full triage's, query by query.
+// Admits (d, v) into the k-nearest heap under the (distance, id) rule.
+void Admit(std::vector<KnnNeighbor>* best, ObjectId v, double d) {
+  const KnnNeighbor& top = best->front();
+  if (d < top.distance || (d == top.distance && v < top.id)) {
+    std::pop_heap(best->begin(), best->end(), KnnHeapLess());
+    best->back() = KnnNeighbor{v, d};
+    std::push_heap(best->begin(), best->end(), KnnHeapLess());
+  }
+}
+
+std::vector<KnnNeighbor> Sorted(std::vector<KnnNeighbor> best) {
+  std::sort_heap(best.begin(), best.end(), KnnHeapLess());
+  return best;
+}
+
+// The sequential algorithm KnnSearch must equal: no early stop, no batch.
+// The first k candidates are resolved one by one; every later one is
+// triaged through ProvenGreaterThan against the k-th distance as it stands
+// after the previous admit, then resolved and admitted.
+std::vector<KnnNeighbor> FullTriageKnnSearch(BoundedResolver* resolver,
+                                             ObjectId query, uint32_t k) {
+  const std::vector<ObjectId> candidates = SortedCandidates(resolver, query);
+  std::vector<KnnNeighbor> best;
+  for (size_t c = 0; c < k; ++c) {
+    best.push_back(KnnNeighbor{candidates[c],
+                               resolver->Distance(query, candidates[c])});
+  }
+  std::make_heap(best.begin(), best.end(), KnnHeapLess());
+  for (size_t c = k; c < candidates.size(); ++c) {
+    const ObjectId v = candidates[c];
+    if (resolver->ProvenGreaterThan(query, v, best.front().distance)) {
+      continue;
+    }
+    Admit(&best, v, resolver->Distance(query, v));
+  }
+  return Sorted(std::move(best));
+}
+
+// The fixed-chunk loop KnnSearch once ran: 32 candidates triaged against a
+// k-th distance frozen for the chunk, the survivors resolved in one batch.
+// Exact, but it resolves candidates the sequential algorithm proves
+// farther; it stays as the witness that KnnSearch spends no more calls.
+std::vector<KnnNeighbor> ChunkedKnnSearch(BoundedResolver* resolver,
+                                          ObjectId query, uint32_t k) {
+  constexpr size_t kChunk = 32;
+  const std::vector<ObjectId> candidates = SortedCandidates(resolver, query);
+  std::vector<IdPair> batch;
+  for (size_t c = 0; c < k; ++c) batch.push_back(IdPair{query, candidates[c]});
+  resolver->ResolveAll(batch);
+  std::vector<KnnNeighbor> best;
+  for (const IdPair& p : batch) {
+    best.push_back(KnnNeighbor{p.j, resolver->Distance(query, p.j)});
+  }
+  std::make_heap(best.begin(), best.end(), KnnHeapLess());
+  for (size_t begin = k; begin < candidates.size(); begin += kChunk) {
+    const size_t end = std::min(candidates.size(), begin + kChunk);
+    const double t = best.front().distance;
+    batch.clear();
+    for (size_t c = begin; c < end; ++c) {
+      if (!resolver->ProvenGreaterThan(query, candidates[c], t)) {
+        batch.push_back(IdPair{query, candidates[c]});
+      }
+    }
+    resolver->ResolveAll(batch);
+    for (const IdPair& p : batch) {
+      Admit(&best, p.j, resolver->Distance(query, p.j));
+    }
+  }
+  return Sorted(std::move(best));
+}
+
+// The metric families the kNN contract runs over: the three random ones,
+// plus edit distance, whose integer distances put exact ties on the
+// k-th distance and on KnnSearch's candidate horizon.
+constexpr int kKnnFamilies = 4;
+
+const char* KnnFamilyName(int family) {
+  return family < 3 ? MetricFamilyName(kAllMetricFamilies[family])
+                    : "edit-distance";
+}
+
+ResolverStack MakeKnnFamilyStack(int family, ObjectId n, uint64_t seed) {
+  if (family < 3) return MakeFamilyStack(kAllMetricFamilies[family], n, seed);
+  ResolverStack stack;
+  stack.oracle = std::make_unique<LevenshteinOracle>(DnaFamilyStrings(
+      n, 24, /*num_families=*/4, /*mutations=*/3, seed));
+  stack.graph = std::make_unique<PartialDistanceGraph>(n);
+  stack.resolver =
+      std::make_unique<BoundedResolver>(stack.oracle.get(), stack.graph.get());
+  return stack;
+}
+
+// KnnSearch is the sequential algorithm: over a whole k-NN graph, on both
+// transports, its output and oracle_calls are the full sequential
+// triage's, query by query, while the early stop and the candidate horizon
+// drop only comparisons. It never spends more calls than the fixed-chunk
+// loop, and under Tri strictly fewer.
 TEST_P(KnnSearchSchemeTest, LazyTriageMatchesFullTriage) {
   const ObjectId n = 64;
   const uint32_t k = 4;
   uint64_t lazy_comparisons = 0;
   uint64_t full_comparisons = 0;
-  for (const MetricFamily family : kAllMetricFamilies) {
+  uint64_t lazy_calls = 0;
+  uint64_t chunked_calls = 0;
+  for (int family = 0; family < kKnnFamilies; ++family) {
+    const std::string name = KnnFamilyName(family);
     for (const bool batch : {true, false}) {
-      ResolverStack lazy = MakeFamilyStack(family, n, 95);
-      ResolverStack full = MakeFamilyStack(family, n, 95);
+      ResolverStack lazy = MakeKnnFamilyStack(family, n, 95);
+      ResolverStack full = MakeKnnFamilyStack(family, n, 95);
+      ResolverStack chunked = MakeKnnFamilyStack(family, n, 95);
       SchemeOptions options;
       auto lazy_bounder =
           MakeAndAttachScheme(GetParam(), lazy.resolver.get(), options);
       auto full_bounder =
           MakeAndAttachScheme(GetParam(), full.resolver.get(), options);
-      ASSERT_TRUE(lazy_bounder.ok() && full_bounder.ok());
+      auto chunked_bounder =
+          MakeAndAttachScheme(GetParam(), chunked.resolver.get(), options);
+      ASSERT_TRUE(lazy_bounder.ok() && full_bounder.ok() &&
+                  chunked_bounder.ok());
       lazy.resolver->SetBatchTransport(batch);
       full.resolver->SetBatchTransport(batch);
+      chunked.resolver->SetBatchTransport(batch);
       const uint64_t lazy_before = lazy.resolver->stats().comparisons;
       const uint64_t full_before = full.resolver->stats().comparisons;
+      const uint64_t lazy_calls_before = lazy.resolver->stats().oracle_calls;
+      const uint64_t chunked_calls_before =
+          chunked.resolver->stats().oracle_calls;
       for (ObjectId q = 0; q < n; ++q) {
-        ASSERT_EQ(KnnSearch(lazy.resolver.get(), q, k),
-                  FullTriageKnnSearch(full.resolver.get(), q, k))
-            << SchemeKindName(GetParam()) << " "
-            << MetricFamilyName(family) << " batch=" << batch << " q=" << q;
+        const std::vector<KnnNeighbor> got =
+            KnnSearch(lazy.resolver.get(), q, k);
+        ASSERT_EQ(got, FullTriageKnnSearch(full.resolver.get(), q, k))
+            << SchemeKindName(GetParam()) << " " << name
+            << " batch=" << batch << " q=" << q;
         ASSERT_EQ(lazy.resolver->stats().oracle_calls,
                   full.resolver->stats().oracle_calls)
-            << SchemeKindName(GetParam()) << " "
-            << MetricFamilyName(family) << " batch=" << batch << " q=" << q;
+            << SchemeKindName(GetParam()) << " " << name
+            << " batch=" << batch << " q=" << q;
+        ASSERT_EQ(got, ChunkedKnnSearch(chunked.resolver.get(), q, k))
+            << SchemeKindName(GetParam()) << " " << name
+            << " batch=" << batch << " q=" << q;
       }
       const uint64_t lazy_count =
           lazy.resolver->stats().comparisons - lazy_before;
       const uint64_t full_count =
           full.resolver->stats().comparisons - full_before;
       EXPECT_LE(lazy_count, full_count)
-          << SchemeKindName(GetParam()) << " " << MetricFamilyName(family)
-          << " batch=" << batch;
+          << SchemeKindName(GetParam()) << " " << name << " batch=" << batch;
       lazy_comparisons += lazy_count;
       full_comparisons += full_count;
+      const uint64_t lazy_spent =
+          lazy.resolver->stats().oracle_calls - lazy_calls_before;
+      const uint64_t chunked_spent =
+          chunked.resolver->stats().oracle_calls - chunked_calls_before;
+      EXPECT_LE(lazy_spent, chunked_spent)
+          << SchemeKindName(GetParam()) << " " << name << " batch=" << batch;
+      lazy_calls += lazy_spent;
+      chunked_calls += chunked_spent;
     }
   }
   // The early stop fires: some triage comparisons are never made.
   EXPECT_LT(lazy_comparisons, full_comparisons) << SchemeKindName(GetParam());
+  if (GetParam() == SchemeKind::kTri) {
+    EXPECT_LT(lazy_calls, chunked_calls);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KnnSearchSchemeTest,

@@ -433,6 +433,23 @@ int Run(const std::string& command, const Flags& flags) {
         "warm the store and the audited pass would replay it with zero "
         "oracle calls, voiding the A-B comparison");
   }
+  // Algorithm preconditions: a value the algorithm would CHECK-abort on
+  // fails here, before any oracle work.
+  if (command == "knn") {
+    const int64_t k = flags.GetInt("k", 5);
+    if (k < 1 || k >= n_raw) {
+      return Fail("--k must be at least 1 and below --n (" +
+                  std::to_string(n_raw) + ")");
+    }
+  }
+  if (command == "cluster") {
+    const std::string method = flags.GetString("method", "pam");
+    const int64_t l = flags.GetInt("l", 10);
+    if ((method == "pam" || method == "clarans") && (l < 2 || l >= n_raw)) {
+      return Fail("--l must be at least 2 and below --n (" +
+                  std::to_string(n_raw) + ") for --method=" + method);
+    }
+  }
   // Pin the kernel tier before any resolver exists so the stamped
   // kernel_dispatch matches what actually executes.
   if (!simd_flag.empty()) {
