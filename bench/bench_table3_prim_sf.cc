@@ -25,6 +25,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<metricprox::ObjectId>& sizes = *parsed_sizes;
+  for (const metricprox::ObjectId n : sizes) {
+    const metricprox::Status fits =
+        metricprox::CheckRoadCapacity("sf", n, metricprox::kSfPoiCapacity);
+    if (!fits.ok()) {
+      std::fprintf(stderr, "%s\n", fits.ToString().c_str());
+      return 1;
+    }
+  }
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   const metricprox::Status unused = flags->FailOnUnused();
   if (!unused.ok()) {

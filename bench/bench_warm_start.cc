@@ -131,6 +131,10 @@ int main(int argc, char** argv) {
   const std::string dataset_name = flags->GetString("dataset", "sf");
   const uint32_t k = static_cast<uint32_t>(flags->GetInt("k", 4));
   const uint32_t l = static_cast<uint32_t>(flags->GetInt("l", 5));
+  if (const metricprox::Status unused = flags->FailOnUnused(); !unused.ok()) {
+    std::fprintf(stderr, "%s\n", unused.ToString().c_str());
+    return 1;
+  }
 
   std::printf("Cross-workload warm start: each workload cold/storeless vs "
               "inside a shared-store sequence.\nChecksums are asserted "

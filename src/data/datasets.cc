@@ -91,8 +91,8 @@ Dataset MakeRoadDataset(std::string name, ObjectId n,
 
 Dataset MakeSfPoiLike(ObjectId n, uint64_t seed) {
   RoadNetworkConfig config;
-  config.grid_width = 48;
-  config.grid_height = 48;
+  config.grid_width = kSfPoiGridSide;
+  config.grid_height = kSfPoiGridSide;
   config.edge_keep_probability = 0.82;
   config.detour_min = 1.1;
   config.detour_max = 2.2;
@@ -109,8 +109,8 @@ Dataset MakeSfPoiLike(ObjectId n, uint64_t seed) {
 
 Dataset MakeUrbanGbLike(ObjectId n, uint64_t seed) {
   RoadNetworkConfig config;
-  config.grid_width = 72;
-  config.grid_height = 72;
+  config.grid_width = kUrbanGbGridSide;
+  config.grid_height = kUrbanGbGridSide;
   config.edge_keep_probability = 0.78;
   config.detour_min = 1.2;
   config.detour_max = 3.0;

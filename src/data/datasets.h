@@ -3,8 +3,10 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/oracle.h"
+#include "core/status.h"
 #include "core/types.h"
 #include "oracle/road_network.h"
 
@@ -22,13 +24,34 @@ struct Dataset {
   std::shared_ptr<RoadNetwork> network;
 };
 
+/// The road datasets pin every object to its own junction of a fixed
+/// square grid, so each holds at most side × side objects.
+inline constexpr uint32_t kSfPoiGridSide = 48;    // 2,304 junctions
+inline constexpr uint32_t kUrbanGbGridSide = 72;  // 5,184 junctions
+inline constexpr ObjectId kSfPoiCapacity = kSfPoiGridSide * kSfPoiGridSide;
+inline constexpr ObjectId kUrbanGbCapacity =
+    kUrbanGbGridSide * kUrbanGbGridSide;
+
+/// InvalidArgument naming the limit when `n` objects do not fit on a road
+/// dataset of `capacity` junctions; the generators CHECK-fail past it.
+inline Status CheckRoadCapacity(std::string_view dataset, ObjectId n,
+                                ObjectId capacity) {
+  if (n <= capacity) return Status::OK();
+  return Status::InvalidArgument(
+      "the " + std::string(dataset) + " dataset holds at most " +
+      std::to_string(capacity) +
+      " objects (one per road junction); asked for " + std::to_string(n));
+}
+
 /// SF-POI-like (paper Table 1 row 1): points-of-interest clustered inside
 /// one city, distances = shortest paths over a synthetic road network
-/// (stand-in for the Google Maps API; see DESIGN.md §4).
+/// (stand-in for the Google Maps API; see DESIGN.md §4). Holds at most
+/// kSfPoiCapacity objects.
 Dataset MakeSfPoiLike(ObjectId n, uint64_t seed);
 
 /// UrbanGB-like (Table 1 row 3): POIs spread over several towns on a larger
-/// road network — longer inter-cluster hauls than SF-POI.
+/// road network — longer inter-cluster hauls than SF-POI. Holds at most
+/// kUrbanGbCapacity objects.
 Dataset MakeUrbanGbLike(ObjectId n, uint64_t seed);
 
 /// Flickr1M-like (Table 1 row 2): `dim`-dimensional Gaussian-mixture

@@ -30,13 +30,6 @@ namespace metricprox {
 /// list); there is no hash map.
 class PartialDistanceGraph {
  public:
-  /// One adjacency entry in (id, distance) form — the shape in which
-  /// ConcurrentDistanceGraph stages a node's additions.
-  struct Neighbor {
-    ObjectId id;
-    double distance;
-  };
-
   /// One node's adjacency in SoA form: ids[k] and distances[k] describe the
   /// k-th resolved neighbor, sorted ascending by id. Spans point into the
   /// graph's own columns and are invalidated by any insert.

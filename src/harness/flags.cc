@@ -1,8 +1,25 @@
 #include "harness/flags.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <optional>
+#include <system_error>
 
 namespace metricprox {
+
+namespace {
+
+/// All of `text` as a T, or nullopt for an empty value, trailing
+/// characters or a value outside T's range.
+template <typename T>
+std::optional<T> ParseWhole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [rest, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || rest != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
 
 StatusOr<Flags> Flags::Parse(int argc, const char* const* argv) {
   Flags flags;
@@ -21,6 +38,14 @@ StatusOr<Flags> Flags::Parse(int argc, const char* const* argv) {
   return flags;
 }
 
+void Flags::RecordBadValue(const std::string& key, const std::string& value,
+                           const char* expected) const {
+  if (!bad_value_.ok()) return;
+  bad_value_ = Status::InvalidArgument("invalid value for --" + key + ": '" +
+                                       value + "' (expected " + expected +
+                                       ")");
+}
+
 std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
   used_[key] = true;
@@ -31,25 +56,38 @@ std::string Flags::GetString(const std::string& key,
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   used_[key] = true;
   auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return default_value;
+  if (const std::optional<int64_t> v = ParseWhole<int64_t>(it->second)) {
+    return *v;
+  }
+  RecordBadValue(key, it->second, "a 64-bit integer");
+  return default_value;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   used_[key] = true;
   auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return default_value;
+  if (const std::optional<double> v = ParseWhole<double>(it->second)) {
+    return *v;
+  }
+  RecordBadValue(key, it->second, "a number");
+  return default_value;
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
   used_[key] = true;
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  RecordBadValue(key, v, "true|1|yes|false|0|no");
+  return default_value;
 }
 
 Status Flags::FailOnUnused() const {
+  if (!bad_value_.ok()) return bad_value_;
   for (const auto& [key, value] : values_) {
     if (used_.find(key) == used_.end()) {
       return Status::InvalidArgument("unknown flag: --" + key);

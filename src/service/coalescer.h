@@ -68,7 +68,7 @@ struct CoalescerCounters {
 ///
 /// The coalescer is not a cache: once a pair's result has been fanned out,
 /// the pair leaves the pending set, and a later submission ships it again.
-/// Cross-run memoization belongs to the shared graph / DistanceStore layers
+/// Cross-run memoization belongs to the shared cache / DistanceStore layers
 /// above (see service/session.h).
 class BatchCoalescer {
  public:

@@ -99,7 +99,7 @@ SessionPool::SessionPool(DistanceOracle* base,
                          const SessionPoolOptions& options)
     : base_(base),
       options_(options),
-      graph_(base->num_objects(), options.graph_shards) {
+      cache_(base->num_objects()) {
   CHECK(base != nullptr);
   if (options_.store != nullptr) {
     CHECK_EQ(options_.store->fingerprint().num_objects, base->num_objects())
@@ -205,19 +205,19 @@ Status SessionPool::ResolvePairs(std::span<const IdPair> pairs,
   CHECK_EQ(pairs.size(), out.size());
   CHECK_EQ(pairs.size(), statuses.size());
 
-  // Sweep 1: the shared graph — lock-striped point lookups, no
-  // serialization with other sessions beyond one shard mutex each.
+  // Sweep 1: the shared cache — lock-striped point lookups, no
+  // serialization with other sessions beyond one stripe mutex each.
   std::vector<size_t> miss;
-  uint64_t graph_hits = 0;
+  uint64_t cache_hits = 0;
   for (size_t k = 0; k < pairs.size(); ++k) {
     statuses[k] = Status::OK();
     if (pairs[k].i == pairs[k].j) {
       out[k] = 0.0;
       continue;
     }
-    if (const std::optional<double> d = graph_.Get(pairs[k].i, pairs[k].j)) {
+    if (const std::optional<double> d = cache_.Get(pairs[k].i, pairs[k].j)) {
       out[k] = *d;
-      ++graph_hits;
+      ++cache_hits;
       continue;
     }
     miss.push_back(k);
@@ -225,7 +225,7 @@ Status SessionPool::ResolvePairs(std::span<const IdPair> pairs,
 
   // Sweep 2: the durable store (serialized — DistanceStore is
   // single-threaded by contract). Store hits are published to the shared
-  // graph so the next asker stops at sweep 1.
+  // cache so the next asker stops at sweep 1.
   uint64_t store_hits = 0;
   if (options_.store != nullptr && !miss.empty()) {
     std::vector<size_t> still_missing;
@@ -240,7 +240,7 @@ Status SessionPool::ResolvePairs(std::span<const IdPair> pairs,
       }
       out[k] = *d;
       ++store_hits;
-      graph_.Insert(pairs[k].i, pairs[k].j, *d);
+      cache_.Insert(pairs[k].i, pairs[k].j, *d);
     }
     miss = std::move(still_missing);
   }
@@ -271,13 +271,13 @@ Status SessionPool::ResolvePairs(std::span<const IdPair> pairs,
       // A racing session may have published the same pair meanwhile;
       // Insert returning false (exact duplicate) is the expected benign
       // outcome of that race.
-      graph_.Insert(ship[k].i, ship[k].j, results[k]);
+      cache_.Insert(ship[k].i, ship[k].j, results[k]);
     }
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    counters_.shared_graph_hits += graph_hits;
+    counters_.shared_graph_hits += cache_hits;
     counters_.store_hits += store_hits;
     counters_.base_pairs_shipped += shipped;
     if (options_.store != nullptr && !options_.store->read_only()) {
@@ -289,14 +289,14 @@ Status SessionPool::ResolvePairs(std::span<const IdPair> pairs,
       }
     }
   }
-  if (shared_hits != nullptr) *shared_hits += graph_hits;
+  if (shared_hits != nullptr) *shared_hits += cache_hits;
 
   if (options_.hub != nullptr && telemetry != nullptr) {
     MetricsRegistry& metrics = options_.hub->metrics();
     const std::string& tenant = options_.tenant;
     const uint64_t session = telemetry->session_id;
-    if (graph_hits > 0) {
-      metrics.CounterAdd(tenant, session, "shared_graph_hits", graph_hits);
+    if (cache_hits > 0) {
+      metrics.CounterAdd(tenant, session, "shared_graph_hits", cache_hits);
     }
     if (store_hits > 0) {
       metrics.CounterAdd(tenant, session, "store_hits", store_hits);

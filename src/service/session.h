@@ -12,9 +12,9 @@
 #include "core/stats.h"
 #include "core/status.h"
 #include "core/types.h"
-#include "graph/concurrent_graph.h"
 #include "graph/partial_graph.h"
 #include "service/coalescer.h"
+#include "service/shared_cache.h"
 #include "store/distance_store.h"
 
 namespace metricprox {
@@ -38,14 +38,12 @@ struct SessionOptions {
 
 /// Pool-wide configuration, fixed at construction.
 struct SessionPoolOptions {
-  /// Lock stripes of the shared ConcurrentDistanceGraph.
-  size_t graph_shards = ConcurrentDistanceGraph::kDefaultShards;
   /// Ship unresolved pairs through a cross-session BatchCoalescer (one
   /// BatchDistance per linger window across all sessions) instead of a
   /// serialized per-session call.
   bool enable_coalescer = false;
   CoalescerOptions coalescer;
-  /// Optional durable cache consulted between the shared graph and the base
+  /// Optional durable cache consulted between the shared cache and the base
   /// oracle, and fed every base resolution. Not owned; the pool serializes
   /// access (DistanceStore itself is single-threaded).
   DistanceStore* store = nullptr;
@@ -71,12 +69,12 @@ struct SessionPoolCounters {
   /// High-water mark of sessions_active — what AccumulateStats reports as
   /// the run's `sessions_active` stat.
   uint64_t sessions_peak = 0;
-  /// Pairs answered from the shared graph (another session already paid).
+  /// Pairs answered from the shared cache (another session already paid).
   uint64_t shared_graph_hits = 0;
   /// Pairs answered from the attached DistanceStore.
   uint64_t store_hits = 0;
   /// Pairs this pool submitted toward the base oracle stack (neither the
-  /// shared graph nor the store had them). On the direct path each one is
+  /// shared cache nor the store had them). On the direct path each one is
   /// a base-oracle pair; under coalescing, cross-session dedup may collapse
   /// several submissions into one shipped pair (CoalescerCounters::
   /// pairs_shipped counts what actually went over the wire).
@@ -88,7 +86,7 @@ namespace internal {
 /// The per-session oracle facade: what a session's BoundedResolver sees as
 /// "the oracle". Routes the resolver's two transport verbs (TryDistance,
 /// TryBatchDistance) through SessionPool::ResolvePairs, which answers each
-/// pair from the shared graph, then the store, and only then the base
+/// pair from the shared cache, then the store, and only then the base
 /// oracle stack — so a pair any session has resolved is never paid for
 /// twice pool-wide, while the resolver's own accounting (oracle_calls per
 /// shipped pair) stays byte-identical to an unshared run.
@@ -113,7 +111,7 @@ class SessionOracle : public DistanceOracle {
   void set_batch_workers(unsigned workers) override;
   unsigned batch_workers() const override;
 
-  /// Pairs this session was handed from the shared graph (each one still
+  /// Pairs this session was handed from the shared cache (each one still
   /// counted in the resolver's oracle_calls, exactly like a store hit in a
   /// warm single-session run). Schedule-dependent under concurrency.
   uint64_t shared_hits() const { return shared_hits_; }
@@ -193,15 +191,15 @@ class ResolverSession {
   std::unique_ptr<Bounder> bounder_;
 };
 
-/// Owner of the shared resolution plane: the striped ConcurrentDistanceGraph
+/// Owner of the shared resolution plane: the striped SharedDistanceCache
 /// every session publishes to, the (optional) DistanceStore, the (optional)
 /// cross-session BatchCoalescer, and the base oracle stack. Sessions opened
 /// here resolve concurrently; a pair any one of them pays for becomes a
-/// shared-graph hit for all later askers.
+/// shared-cache hit for all later askers.
 ///
-/// Resolution order per pair: shared graph -> store -> base oracle stack
+/// Resolution order per pair: shared cache -> store -> base oracle stack
 /// (coalesced across sessions when enabled, else serialized). Every base
-/// resolution is published back to the shared graph and the store.
+/// resolution is published back to the shared cache and the store.
 ///
 /// Thread safety: OpenSession / ResolvePairs / counters / AccumulateStats
 /// are safe from any thread. The base oracle's verbs are only ever invoked
@@ -222,9 +220,7 @@ class SessionPool {
   /// oracle stack; destroy it to unregister.
   std::unique_ptr<ResolverSession> OpenSession(SessionOptions options = {});
 
-  ObjectId num_objects() const { return graph_.num_objects(); }
-  ConcurrentDistanceGraph& shared_graph() { return graph_; }
-  const ConcurrentDistanceGraph& shared_graph() const { return graph_; }
+  ObjectId num_objects() const { return base_->num_objects(); }
   DistanceOracle& base_oracle() { return *base_; }
   /// Null unless enable_coalescer was set.
   BatchCoalescer* coalescer() { return coalescer_.get(); }
@@ -251,8 +247,8 @@ class SessionPool {
   /// The shared resolution funnel (see class comment for the sweep order).
   /// `pairs` must satisfy the DistanceOracle batch contract (deduplicated,
   /// in range); i == j yields 0. OK entries are published to the shared
-  /// graph and the store. `shared_hits`, when non-null, is incremented by
-  /// the number of pairs answered from the shared graph. `telemetry`
+  /// cache and the store. `shared_hits`, when non-null, is incremented by
+  /// the number of pairs answered from the shared cache. `telemetry`
   /// (session-tagged, may be null) attributes the sweep's spans, metrics
   /// and coalescer submission to the asking session. Returns the first
   /// non-OK per-pair status, or OK.
@@ -265,7 +261,7 @@ class SessionPool {
 
   DistanceOracle* base_;  // not owned
   SessionPoolOptions options_;
-  ConcurrentDistanceGraph graph_;
+  SharedDistanceCache cache_;
   std::unique_ptr<BatchCoalescer> coalescer_;
 
   /// Serializes direct (non-coalesced) base-oracle round-trips.

@@ -40,6 +40,19 @@ TEST(DatasetsTest, UrbanGbLikeIsMetric) {
   CheckDatasetIsMetric(&d, 60, 12);
 }
 
+TEST(DatasetsTest, RoadCapacityIsTheGridsJunctionCount) {
+  EXPECT_EQ(MakeSfPoiLike(60, 1).network->num_nodes(), kSfPoiCapacity);
+  EXPECT_EQ(MakeUrbanGbLike(60, 2).network->num_nodes(), kUrbanGbCapacity);
+  EXPECT_EQ(kSfPoiCapacity, 2304u);
+  EXPECT_EQ(kUrbanGbCapacity, 5184u);
+  EXPECT_TRUE(CheckRoadCapacity("sf", kSfPoiCapacity, kSfPoiCapacity).ok());
+  const Status past = CheckRoadCapacity("sf", kSfPoiCapacity + 1,
+                                        kSfPoiCapacity);
+  EXPECT_EQ(past.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.message().find("at most 2304"), std::string::npos)
+      << past.message();
+}
+
 TEST(DatasetsTest, FlickrLikeIsMetric) {
   Dataset d = MakeFlickrLike(50, 64, 3);
   EXPECT_EQ(d.name, "flickr-like");

@@ -1,3 +1,9 @@
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algo/prim.h"
@@ -73,6 +79,93 @@ TEST(FlagsTest, FailOnUnusedCatchesTypos) {
   const Status status = flags->FailOnUnused();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("typo"), std::string::npos);
+}
+
+/// FailOnUnused's error for a flag set that holds exactly one bad value.
+std::string BadValueMessage(std::vector<const char*> argv,
+                            const std::function<void(const Flags&)>& read) {
+  argv.insert(argv.begin(), "prog");
+  auto flags = Flags::Parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_TRUE(flags.ok());
+  read(*flags);
+  const Status status = flags->FailOnUnused();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  return std::string(status.message());
+}
+
+TEST(FlagsTest, IntsMustParseWholeAndFitInt64) {
+  const char* argv[] = {"prog", "--a=-5", "--b=9223372036854775807"};
+  auto flags = Flags::Parse(3, argv);
+  ASSERT_TRUE(flags.ok());
+  EXPECT_EQ(flags->GetInt("a", 0), -5);
+  EXPECT_EQ(flags->GetInt("b", 0), INT64_MAX);
+  EXPECT_TRUE(flags->FailOnUnused().ok());
+
+  for (const char* bad : {"--k=3x", "--k=abc", "--k=", "--k= 3", "--k=+3",
+                          "--k=1.5", "--k=9223372036854775808"}) {
+    int64_t got = 0;
+    const std::string message = BadValueMessage(
+        {bad}, [&](const Flags& f) { got = f.GetInt("k", 7); });
+    EXPECT_EQ(got, 7) << bad;  // the default, never a parsed prefix
+    EXPECT_NE(message.find("--k"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("'") + (bad + 4) + "'"),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST(FlagsTest, DoublesMustParseWhole) {
+  const char* argv[] = {"prog", "--a=1e-3", "--b=nan", "--c=-inf"};
+  auto flags = Flags::Parse(4, argv);
+  ASSERT_TRUE(flags.ok());
+  EXPECT_DOUBLE_EQ(flags->GetDouble("a", 0.0), 1e-3);
+  // nan and inf parse; callers reject them where they mean nothing.
+  EXPECT_TRUE(std::isnan(flags->GetDouble("b", 0.0)));
+  EXPECT_EQ(flags->GetDouble("c", 0.0), -INFINITY);
+  EXPECT_TRUE(flags->FailOnUnused().ok());
+
+  for (const char* bad : {"--rate=0.5x", "--rate=", "--rate=x0.5",
+                          "--rate=1e999"}) {
+    double got = 0.0;
+    const std::string message = BadValueMessage(
+        {bad}, [&](const Flags& f) { got = f.GetDouble("rate", 0.25); });
+    EXPECT_EQ(got, 0.25) << bad;
+    EXPECT_NE(message.find("--rate"), std::string::npos) << message;
+  }
+}
+
+TEST(FlagsTest, BoolsAcceptOnlyKnownWords) {
+  const char* argv[] = {"prog",      "--a=true", "--b=1", "--c=yes",
+                        "--d",       "--e=false", "--f=0", "--g=no"};
+  auto flags = Flags::Parse(8, argv);
+  ASSERT_TRUE(flags.ok());
+  for (const char* key : {"a", "b", "c", "d"}) {
+    EXPECT_TRUE(flags->GetBool(key, false)) << key;
+  }
+  for (const char* key : {"e", "f", "g"}) {
+    EXPECT_FALSE(flags->GetBool(key, true)) << key;
+  }
+  EXPECT_TRUE(flags->FailOnUnused().ok());
+
+  for (const char* bad : {"--audit=yes-please", "--audit=on", "--audit="}) {
+    bool got = false;
+    const std::string message = BadValueMessage(
+        {bad}, [&](const Flags& f) { got = f.GetBool("audit", true); });
+    EXPECT_TRUE(got) << bad;
+    EXPECT_NE(message.find("--audit"), std::string::npos) << message;
+  }
+}
+
+TEST(FlagsTest, FirstBadValueIsReportedBeforeUnknownFlags) {
+  const char* argv[] = {"prog", "--aaa=1", "--n=2x", "--k=3y"};
+  auto flags = Flags::Parse(4, argv);
+  ASSERT_TRUE(flags.ok());
+  flags->GetInt("n", 0);
+  flags->GetInt("k", 0);
+  const Status status = flags->FailOnUnused();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "invalid value for --n: '2x' (expected a "
+                              "64-bit integer)");
 }
 
 // ---- RunWorkload ----

@@ -120,6 +120,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -193,18 +194,31 @@ Status RequireProbability(const char* flag, double v) {
   return Status::OK();
 }
 
-Status RequireNonNegativeInt(const char* flag, int64_t v) {
-  if (v < 0) {
-    return Status::InvalidArgument(std::string(flag) +
-                                   " must be non-negative");
+/// Integer flags are range-checked before any cast: a value past the
+/// target type's range would wrap silently.
+Status RequireIntInRange(const char* flag, int64_t v, int64_t lo,
+                         int64_t hi) {
+  if (v < lo || v > hi) {
+    return Status::InvalidArgument(std::string(flag) + " must be in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
   }
   return Status::OK();
 }
 
+constexpr int64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+
 StatusOr<Dataset> MakeDataset(const std::string& name, ObjectId n,
                               uint64_t seed) {
-  if (name == "sf") return MakeSfPoiLike(n, seed);
-  if (name == "urbangb") return MakeUrbanGbLike(n, seed);
+  if (name == "sf") {
+    MP_RETURN_IF_ERROR(CheckRoadCapacity(name, n, kSfPoiCapacity));
+    return MakeSfPoiLike(n, seed);
+  }
+  if (name == "urbangb") {
+    MP_RETURN_IF_ERROR(CheckRoadCapacity(name, n, kUrbanGbCapacity));
+    return MakeUrbanGbLike(n, seed);
+  }
   if (name == "flickr") return MakeFlickrLike(n, 256, seed);
   if (name == "dna") return MakeDnaLike(n, 80, seed);
   if (name == "clustered") {
@@ -231,14 +245,42 @@ Status WriteFile(const std::string& path, const std::string& contents) {
   return status;
 }
 
-int RunCommand(const std::string& command, const Flags& flags, ObjectId n,
-               uint64_t seed, BoundedResolver* resolver_ptr, bool quiet,
-               double* checksum);
+/// The flags only some commands read, read with the common ones before any
+/// work so that a malformed or unknown flag fails before the dataset is
+/// built.
+struct CommandFlags {
+  std::string algorithm;  // mst
+  std::string method;     // cluster
+  int64_t k = 0;          // knn
+  int64_t l = 0;          // cluster
+  double radius = 0.0;    // join, cluster --method=dbscan
+  int64_t min_pts = 0;    // cluster --method=dbscan
+};
+
+CommandFlags ReadCommandFlags(const std::string& command, const Flags& flags) {
+  CommandFlags c;
+  if (command == "mst") c.algorithm = flags.GetString("algorithm", "prim");
+  if (command == "knn") c.k = flags.GetInt("k", 5);
+  if (command == "cluster") {
+    c.method = flags.GetString("method", "pam");
+    c.l = flags.GetInt("l", 10);
+    if (c.method == "dbscan") {
+      // The neighborhood radius is --radius (like join); --eps is the
+      // global approximate-resolution slack.
+      c.radius = flags.GetDouble("radius", 1.0);
+      c.min_pts = flags.GetInt("min-pts", 4);
+    }
+  }
+  if (command == "join") c.radius = flags.GetDouble("radius", 1.0);
+  return c;
+}
+
+int RunCommand(const std::string& command, const CommandFlags& cmd,
+               ObjectId n, uint64_t seed, BoundedResolver* resolver_ptr,
+               bool quiet, double* checksum);
 
 int Run(const std::string& command, const Flags& flags) {
   const int64_t n_raw = flags.GetInt("n", 256);
-  if (n_raw < 2) return Fail("--n must be at least 2");
-  const ObjectId n = static_cast<ObjectId>(n_raw);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const std::string dataset_name = flags.GetString("dataset", "sf");
   const std::string scheme_name = flags.GetString("scheme", "tri");
@@ -297,15 +339,24 @@ int Run(const std::string& command, const Flags& flags) {
       flags.GetInt("weak-seed", static_cast<int64_t>(seed)));
   const bool has_weak_cost = flags.Has("weak-cost");
   const double weak_cost = flags.GetDouble("weak-cost", 0.0);
+  const CommandFlags cmd = ReadCommandFlags(command, flags);
 
-  // Reject malformed numerics and inconsistent combos before anything is
-  // cast, stacked or opened — a bad flag must never silently misbehave.
+  // Every flag is read by now: reject an unparseable value or an unknown
+  // flag, then malformed numerics and inconsistent combos, before anything
+  // is cast, stacked or opened — a bad flag must never silently misbehave.
+  if (const Status s = flags.FailOnUnused(); !s.ok()) {
+    return Fail(s.ToString());
+  }
   for (const Status& s : {
-           RequireNonNegativeInt("--landmarks", landmarks_raw),
-           RequireNonNegativeInt("--threads", threads_raw),
-           RequireNonNegativeInt("--retry-attempts", retry_attempts),
-           RequireNonNegativeInt("--fault-consecutive", fault_consecutive),
-           RequireNonNegativeInt("--trace-limit", trace_limit),
+           RequireIntInRange("--n", n_raw, 2, kMaxUint32),
+           RequireIntInRange("--landmarks", landmarks_raw, 0, kMaxUint32),
+           RequireIntInRange("--threads", threads_raw, 0, kMaxUint32),
+           RequireIntInRange("--retry-attempts", retry_attempts, 0,
+                             kMaxUint32),
+           RequireIntInRange("--fault-consecutive", fault_consecutive, 0,
+                             kMaxUint32),
+           RequireIntInRange("--min-pts", cmd.min_pts, 0, kMaxUint32),
+           RequireIntInRange("--trace-limit", trace_limit, 0, kMaxInt64),
            RequireNonNegative("--oracle-cost", oracle_cost),
            RequireNonNegative("--retry-backoff",
                               retry.initial_backoff_seconds),
@@ -324,6 +375,7 @@ int Run(const std::string& command, const Flags& flags) {
        }) {
     if (!s.ok()) return Fail(s.ToString());
   }
+  const ObjectId n = static_cast<ObjectId>(n_raw);
   if (has_weak_alpha && !(std::isfinite(weak_alpha) && weak_alpha >= 1.0)) {
     return Fail(
         "--weak-alpha must be a finite factor >= 1: it is the weak oracle's "
@@ -365,13 +417,11 @@ int Run(const std::string& command, const Flags& flags) {
     // silently accept a slack policy it would ignore or miscount.
     bool contract = false;
     if (command == "mst") {
-      const std::string algorithm = flags.GetString("algorithm", "prim");
-      contract = algorithm == "prim" || algorithm == "boruvka";
+      contract = cmd.algorithm == "prim" || cmd.algorithm == "boruvka";
     } else if (command == "knn") {
       contract = true;
     } else if (command == "cluster") {
-      const std::string method = flags.GetString("method", "pam");
-      contract = method == "pam" || method == "dbscan";
+      contract = cmd.method == "pam" || cmd.method == "dbscan";
     }
     if (!contract) {
       return Fail(
@@ -388,13 +438,11 @@ int Run(const std::string& command, const Flags& flags) {
     // must not accept its flags.
     bool weak_supported = false;
     if (command == "mst") {
-      const std::string algorithm = flags.GetString("algorithm", "prim");
-      weak_supported = algorithm == "prim" || algorithm == "boruvka";
+      weak_supported = cmd.algorithm == "prim" || cmd.algorithm == "boruvka";
     } else if (command == "knn") {
       weak_supported = true;
     } else if (command == "cluster") {
-      const std::string method = flags.GetString("method", "pam");
-      weak_supported = method == "pam" || method == "dbscan";
+      weak_supported = cmd.method == "pam" || cmd.method == "dbscan";
     }
     if (!weak_supported) {
       return Fail(
@@ -403,8 +451,8 @@ int Run(const std::string& command, const Flags& flags) {
           "(--method=pam|dbscan)");
     }
   }
-  if (command == "cluster" && flags.GetString("method", "pam") == "dbscan" &&
-      flags.Has("eps") && !flags.Has("radius")) {
+  if (command == "cluster" && cmd.method == "dbscan" && flags.Has("eps") &&
+      !flags.Has("radius")) {
     // Legacy DBSCAN spelling trap: in this CLI --eps is the
     // approximate-resolution slack, never the neighborhood radius. Without
     // --radius the flag would silently run an approximate DBSCAN at the
@@ -435,20 +483,22 @@ int Run(const std::string& command, const Flags& flags) {
   }
   // Algorithm preconditions: a value the algorithm would CHECK-abort on
   // fails here, before any oracle work.
-  if (command == "knn") {
-    const int64_t k = flags.GetInt("k", 5);
-    if (k < 1 || k >= n_raw) {
-      return Fail("--k must be at least 1 and below --n (" +
-                  std::to_string(n_raw) + ")");
-    }
+  if (command == "knn" && (cmd.k < 1 || cmd.k >= n_raw)) {
+    return Fail("--k must be at least 1 and below --n (" +
+                std::to_string(n_raw) + ")");
   }
-  if (command == "cluster") {
-    const std::string method = flags.GetString("method", "pam");
-    const int64_t l = flags.GetInt("l", 10);
-    if ((method == "pam" || method == "clarans") && (l < 2 || l >= n_raw)) {
-      return Fail("--l must be at least 2 and below --n (" +
-                  std::to_string(n_raw) + ") for --method=" + method);
-    }
+  const bool medoids = cmd.method == "pam" || cmd.method == "clarans";
+  if (command == "cluster" && medoids && (cmd.l < 2 || cmd.l >= n_raw)) {
+    return Fail("--l must be at least 2 and below --n (" +
+                std::to_string(n_raw) + ") for --method=" + cmd.method);
+  }
+  if (command == "cluster" && cmd.method == "kcenter" &&
+      (cmd.l < 1 || cmd.l > n_raw)) {
+    return Fail("--l must be at least 1 and at most --n (" +
+                std::to_string(n_raw) + ") for --method=kcenter");
+  }
+  if (command == "cluster" && cmd.method == "dbscan" && cmd.min_pts < 1) {
+    return Fail("--min-pts must be at least 1");
   }
   // Pin the kernel tier before any resolver exists so the stamped
   // kernel_dispatch matches what actually executes.
@@ -668,7 +718,7 @@ int Run(const std::string& command, const Flags& flags) {
       }
 
       watch.Restart();
-      exit_code = RunCommand(command, flags, n, seed, &resolver, quiet,
+      exit_code = RunCommand(command, cmd, n, seed, &resolver, quiet,
                              checksum_out);
       return 0.0;
     });
@@ -808,9 +858,6 @@ int Run(const std::string& command, const Flags& flags) {
     if (rc != 0) return rc;
   }
 
-  if (const Status s = flags.FailOnUnused(); !s.ok()) {
-    return Fail(s.ToString());
-  }
   if (retrying != nullptr) retrying->AccumulateStats(&stats);
   stats.store_loaded_edges = warm_loaded;
   if (persistent != nullptr) persistent->AccumulateStats(&stats);
@@ -1011,12 +1058,12 @@ int RunObs(const std::string& verb, const Flags& flags) {
 /// code; `*checksum` receives the command's headline value (MST weight,
 /// mean k-th distance, ...) for the audit's byte-identity comparison, and
 /// `quiet` suppresses the result lines on the audit's baseline pass.
-int RunCommand(const std::string& command, const Flags& flags, ObjectId n,
-               uint64_t seed, BoundedResolver* resolver_ptr, bool quiet,
-               double* checksum) {
+int RunCommand(const std::string& command, const CommandFlags& cmd,
+               ObjectId n, uint64_t seed, BoundedResolver* resolver_ptr,
+               bool quiet, double* checksum) {
   BoundedResolver& resolver = *resolver_ptr;
   if (command == "mst") {
-    const std::string algorithm = flags.GetString("algorithm", "prim");
+    const std::string& algorithm = cmd.algorithm;
     MstResult mst;
     if (algorithm == "prim") {
       mst = PrimMst(&resolver);
@@ -1033,7 +1080,7 @@ int RunCommand(const std::string& command, const Flags& flags, ObjectId n,
                   mst.total_weight);
     }
   } else if (command == "knn") {
-    const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 5));
+    const uint32_t k = static_cast<uint32_t>(cmd.k);
     const KnnGraph knn = BuildKnnGraph(&resolver, KnnGraphOptions{k});
     double mean = 0.0;
     for (const auto& row : knn) mean += row.back().distance;
@@ -1043,8 +1090,8 @@ int RunCommand(const std::string& command, const Flags& flags, ObjectId n,
                   mean / static_cast<double>(n));
     }
   } else if (command == "cluster") {
-    const std::string method = flags.GetString("method", "pam");
-    const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 10));
+    const std::string& method = cmd.method;
+    const uint32_t l = static_cast<uint32_t>(cmd.l);
     if (method == "pam") {
       PamOptions pam;
       pam.num_medoids = l;
@@ -1073,10 +1120,8 @@ int RunCommand(const std::string& command, const Flags& flags, ObjectId n,
       }
     } else if (method == "dbscan") {
       DbscanOptions dbscan;
-      // The neighborhood radius is --radius (like join); --eps is the
-      // global approximate-resolution slack.
-      dbscan.eps = flags.GetDouble("radius", 1.0);
-      dbscan.min_pts = static_cast<uint32_t>(flags.GetInt("min-pts", 4));
+      dbscan.eps = cmd.radius;
+      dbscan.min_pts = static_cast<uint32_t>(cmd.min_pts);
       const DbscanResult c = DbscanCluster(&resolver, dbscan);
       uint32_t noise = 0;
       for (const int32_t label : c.labels) {
@@ -1103,7 +1148,7 @@ int RunCommand(const std::string& command, const Flags& flags, ObjectId n,
       return Fail("unknown --method (pam|clarans|dbscan|kcenter|linkage)");
     }
   } else if (command == "join") {
-    const double radius = flags.GetDouble("radius", 1.0);
+    const double radius = cmd.radius;
     const auto matches = SimilarityJoin(&resolver, radius);
     *checksum = static_cast<double>(matches.size());
     if (!quiet) {
