@@ -33,12 +33,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
-  const ObjectId n = static_cast<ObjectId>(flags->GetInt("n", 256));
+  const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
+      "--n", flags->GetInt("n", 256), "sf");
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  if (const Status s = flags->FailOnUnused(); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+  for (const Status& s : {flags->FailOnUnused(), n_flag.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   }
+  const ObjectId n = *n_flag;
 
   Dataset dataset = MakeSfPoiLike(n, seed);
   const uint32_t logn = DefaultNumLandmarks(n);

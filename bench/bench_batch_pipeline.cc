@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   }
   const metricprox::StatusOr<std::vector<ObjectId>> parsed_sizes =
       metricprox::benchutil::ParseSizes(
-          flags->GetString("sizes", "128,256,512"));
+          flags->GetString("sizes", "128,256,512"), "sf");
   if (!parsed_sizes.ok()) {
     std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
     return 1;

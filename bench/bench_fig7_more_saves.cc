@@ -25,11 +25,15 @@ int main(int argc, char** argv) {
   }
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   const double oracle_cost = flags->GetDouble("oracle-cost", 1.2);
-  const ObjectId n_time = static_cast<ObjectId>(flags->GetInt("n-time", 256));
-  if (const Status s = flags->FailOnUnused(); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+  const StatusOr<ObjectId> n_time_flag = benchutil::CheckObjectCount(
+      "--n-time", flags->GetInt("n-time", 256), "urbangb");
+  for (const Status& s : {flags->FailOnUnused(), n_time_flag.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   }
+  const ObjectId n_time = *n_time_flag;
 
   const std::vector<ObjectId> sizes = {64, 128, 256};
   benchutil::RunCallCountSweep(

@@ -57,14 +57,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
-  const ObjectId n = static_cast<ObjectId>(flags->GetInt("n", 384));
-  const ObjectId n_cluster =
-      static_cast<ObjectId>(flags->GetInt("n-cluster", 192));
+  const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
+      "--n", flags->GetInt("n", 384), "sf");
+  const StatusOr<ObjectId> n_cluster_flag = benchutil::CheckObjectCount(
+      "--n-cluster", flags->GetInt("n-cluster", 192), "sf");
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  if (const Status s = flags->FailOnUnused(); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+  for (const Status& s :
+       {flags->FailOnUnused(), n_flag.status(), n_cluster_flag.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   }
+  const ObjectId n = *n_flag;
+  const ObjectId n_cluster = *n_cluster_flag;
 
   // --- (a) + (d): KNNrp varying k ---
   {

@@ -24,20 +24,12 @@ int main(int argc, char** argv) {
   }
   const metricprox::StatusOr<std::vector<metricprox::ObjectId>> parsed_sizes =
       metricprox::benchutil::ParseSizes(
-          flags->GetString("sizes", "64,128,256,512,1024"));
+          flags->GetString("sizes", "64,128,256,512,1024"), "urbangb");
   if (!parsed_sizes.ok()) {
     std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
     return 1;
   }
   const std::vector<metricprox::ObjectId>& sizes = *parsed_sizes;
-  for (const metricprox::ObjectId n : sizes) {
-    const metricprox::Status fits =
-        metricprox::CheckRoadCapacity("urbangb", n, metricprox::kUrbanGbCapacity);
-    if (!fits.ok()) {
-      std::fprintf(stderr, "%s\n", fits.ToString().c_str());
-      return 1;
-    }
-  }
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   const metricprox::Status unused = flags->FailOnUnused();
   if (!unused.ok()) {

@@ -120,15 +120,19 @@ void RunSequence(const Dataset& dataset, ObjectId n, uint64_t seed,
 int main(int argc, char** argv) {
   auto flags = metricprox::Flags::Parse(argc, argv);
   CHECK(flags.ok()) << flags.status();
+  const std::string dataset_name = flags->GetString("dataset", "sf");
+  // Every name but random and urbangb builds sf.
   const StatusOr<std::vector<ObjectId>> parsed_sizes =
-      metricprox::benchutil::ParseSizes(flags->GetString("sizes", "128,256"));
+      metricprox::benchutil::ParseSizes(
+          flags->GetString("sizes", "128,256"),
+          dataset_name == "random" || dataset_name == "urbangb" ? dataset_name
+                                                                : "sf");
   if (!parsed_sizes.ok()) {
     std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
     return 1;
   }
   const std::vector<ObjectId>& sizes = *parsed_sizes;
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  const std::string dataset_name = flags->GetString("dataset", "sf");
   const uint32_t k = static_cast<uint32_t>(flags->GetInt("k", 4));
   const uint32_t l = static_cast<uint32_t>(flags->GetInt("l", 5));
   if (const metricprox::Status unused = flags->FailOnUnused(); !unused.ok()) {

@@ -22,7 +22,25 @@
 namespace metricprox {
 namespace benchutil {
 
-StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv) {
+StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
+                                    std::string_view dataset) {
+  constexpr int64_t kMax = std::numeric_limits<ObjectId>::max();
+  if (n < 0 || n > kMax) {
+    return Status::InvalidArgument(std::string(flag) + " must be in [0, " +
+                                   std::to_string(kMax) + "]; got " +
+                                   std::to_string(n));
+  }
+  const ObjectId count = static_cast<ObjectId>(n);
+  if (dataset == "sf") {
+    MP_RETURN_IF_ERROR(CheckRoadCapacity(dataset, count, kSfPoiCapacity));
+  } else if (dataset == "urbangb") {
+    MP_RETURN_IF_ERROR(CheckRoadCapacity(dataset, count, kUrbanGbCapacity));
+  }
+  return count;
+}
+
+StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
+                                           std::string_view dataset) {
   std::vector<ObjectId> sizes;
   if (csv.empty()) return sizes;
   size_t begin = 0;
@@ -39,6 +57,7 @@ StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv) {
           "': expected a comma-separated list of object counts in [0, " +
           std::to_string(std::numeric_limits<ObjectId>::max()) + "]");
     }
+    MP_RETURN_IF_ERROR(CheckObjectCount("--sizes", value, dataset).status());
     sizes.push_back(value);
     if (end == csv.size()) return sizes;
     begin = end + 1;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -18,10 +19,19 @@ inline uint64_t PairCount(ObjectId n) {
   return static_cast<uint64_t>(n) * (n - 1) / 2;
 }
 
+/// An object count read from flag `flag` for a bench that builds the
+/// dataset `dataset`: InvalidArgument unless it fits ObjectId and, for a
+/// road dataset ("sf", "urbangb"), the junctions of its grid
+/// (CheckRoadCapacity). Other datasets are only range-checked.
+StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
+                                    std::string_view dataset);
+
 /// Parses a --sizes flag value: comma-separated decimal object counts, ""
-/// being the empty list. An empty token, a character other than a digit or
-/// a value that does not fit ObjectId is InvalidArgument.
-StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv);
+/// being the empty list, each checked by CheckObjectCount for `dataset`. An
+/// empty token, a character other than a digit or a value that does not fit
+/// ObjectId is InvalidArgument, and so is a size past a road grid.
+StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
+                                           std::string_view dataset = "");
 
 /// Ready-made workloads (checksum = MST weight / total deviation / k-NN
 /// distance sum) so every bench can assert scheme-independence of results.

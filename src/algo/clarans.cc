@@ -11,7 +11,8 @@ namespace metricprox {
 using medoid_internal::AssignmentTable;
 using medoid_internal::ComputeAssignment;
 using medoid_internal::IsMedoid;
-using medoid_internal::SwapDelta;
+using medoid_internal::SwapDeltas;
+using medoid_internal::SwapScratch;
 
 namespace {
 
@@ -39,6 +40,8 @@ ClusteringResult ClaransCluster(BoundedResolver* resolver,
   CHECK_GT(n, options.num_medoids);
 
   std::mt19937_64 rng(options.seed);
+  SwapScratch scratch;
+  std::vector<double> deltas(options.num_medoids);
   ClusteringResult best;
   best.total_deviation = kInfDistance;
 
@@ -57,8 +60,8 @@ ClusteringResult ClaransCluster(BoundedResolver* resolver,
         // the plugged and oracle-only runs.
         continue;
       }
-      const double delta = SwapDelta(resolver, medoids, table, out, h);
-      if (delta < 0.0) {
+      SwapDeltas(resolver, table, h, out, out + 1, &scratch, deltas);
+      if (deltas[out] < 0.0) {
         medoids[out] = h;
         table = ComputeAssignment(resolver, medoids);
         ++accepted;

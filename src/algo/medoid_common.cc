@@ -1,6 +1,8 @@
 #include "algo/medoid_common.h"
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 
 #include "core/logging.h"
 
@@ -49,63 +51,57 @@ AssignmentTable ComputeAssignment(BoundedResolver* resolver,
   return table;
 }
 
-double SwapDelta(BoundedResolver* resolver,
-                 [[maybe_unused]] const std::vector<ObjectId>& medoids,
-                 const AssignmentTable& table, uint32_t out_index,
-                 ObjectId h) {
-  DCHECK_LT(out_index, medoids.size());
-  DCHECK(!IsMedoid(medoids, h));
+void SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
+                ObjectId h, uint32_t out_begin, uint32_t out_end,
+                SwapScratch* scratch, std::span<double> deltas) {
+  CHECK(scratch != nullptr);
+  CHECK_LT(out_begin, out_end);
+  CHECK_LE(out_end, deltas.size());
   const ObjectId n = resolver->num_objects();
+  CHECK_LT(h, n);
 
-  // One batched sweep decides every per-object comparison (against ds(j)
-  // when j loses its medoid, against dn(j) otherwise); the objects h got
-  // strictly closer to are then resolved in one oracle round-trip.
-  std::vector<IdPair> pairs;
-  std::vector<double> thresholds;
-  pairs.reserve(n);
-  thresholds.reserve(n);
-  for (ObjectId j = 0; j < n; ++j) {
-    if (j == h) continue;
-    pairs.push_back(IdPair{j, h});
-    thresholds.push_back(table.nearest[j] == out_index
-                             ? table.dist_second[j]
-                             : table.dist_nearest[j]);
+  // One bound pass over the row (h, ·), with h itself answered Exact(0), so
+  // the targets are the same ascending list for every candidate.
+  std::vector<ObjectId>& targets = scratch->targets;
+  if (targets.size() != n) {
+    targets.resize(n);
+    std::iota(targets.begin(), targets.end(), ObjectId{0});
   }
-  const std::vector<bool> closer = resolver->FilterLessThan(pairs, thresholds);
-  std::vector<IdPair> winners;
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    if (closer[k]) winners.push_back(pairs[k]);
-  }
-  resolver->ResolveAll(winners);
+  std::vector<Interval>& row = scratch->bounds;
+  row.resize(n);
+  resolver->BoundsFrom(h, targets, row);
 
-  double delta = 0.0;
-  size_t k = 0;
+  const auto slots = deltas.subspan(out_begin, out_end - out_begin);
+  std::fill(slots.begin(), slots.end(), 0.0);
   for (ObjectId j = 0; j < n; ++j) {
+    const double dn = table.dist_nearest[j];
     if (j == h) {
       // h becomes a medoid: its old contribution disappears.
-      delta -= table.dist_nearest[j];
+      for (double& delta : slots) delta -= dn;
       continue;
     }
-    const double dn = table.dist_nearest[j];
+    const uint32_t own = table.nearest[j];
+    const bool loses = own >= out_begin && own < out_end;
     const double ds = table.dist_second[j];
-    const bool moves_to_h = closer[k++];
-    if (table.nearest[j] == out_index) {
+    const double t = loses ? ds : dn;
+    // The row was bounded before this pass resolved anything, and bounds
+    // only tighten as edges land: what it proves, LessThan would too.
+    const std::optional<bool> by_row = Bounder::DecideLessThanFrom(row[j], t);
+    const bool moves =
+        (!by_row.has_value() || *by_row) && resolver->LessThan(j, h, t);
+    const double d = moves ? resolver->Distance(j, h) : 0.0;
+    if (loses) {
       // j loses its medoid: it moves to h or to its old second-nearest.
       // (The outgoing medoid itself falls in this case with dn = 0.)
-      if (moves_to_h) {
-        delta += resolver->Distance(j, h) - dn;
-      } else {
-        delta += ds - dn;  // decided without resolving d(j, h)
+      deltas[own] += moves ? d - dn : ds - dn;
+    }
+    if (moves && d < dn) {
+      // Every other slot keeps j's medoid, and h is strictly closer.
+      for (uint32_t o = out_begin; o < out_end; ++o) {
+        if (o != own) deltas[o] += d - dn;
       }
-    } else {
-      // j keeps its medoid unless h is strictly closer.
-      if (moves_to_h) {
-        delta += resolver->Distance(j, h) - dn;
-      }
-      // else: contributes 0 — the common case the scheme prunes for free.
     }
   }
-  return delta;
 }
 
 }  // namespace medoid_internal

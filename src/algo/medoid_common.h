@@ -2,6 +2,7 @@
 #define METRICPROX_ALGO_MEDOID_COMMON_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bounds/resolver.h"
@@ -40,17 +41,27 @@ struct AssignmentTable {
 AssignmentTable ComputeAssignment(BoundedResolver* resolver,
                                   const std::vector<ObjectId>& medoids);
 
-/// Exact change in total deviation if medoids[out_index] is swapped with
-/// non-medoid h, evaluated with per-object bound pruning:
-///   * nearest(j) != out and LB(j,h) >= dn(j)  -> contributes 0, no call;
-///   * nearest(j) == out and LB(j,h) >= ds(j)  -> contributes ds(j) - dn(j),
-///     no call;
-///   * otherwise d(j,h) is resolved.
-/// This is the paper's re-authored IF statement inside PAM/CLARANS; the
-/// returned value equals the oracle-only computation exactly.
-double SwapDelta(BoundedResolver* resolver,
-                 const std::vector<ObjectId>& medoids,
-                 const AssignmentTable& table, uint32_t out_index, ObjectId h);
+/// The per-candidate buffers of SwapDeltas that grow with n. PAM and CLARANS
+/// keep one across their candidates, so no candidate allocates in
+/// proportion to n.
+struct SwapScratch {
+  std::vector<ObjectId> targets;  // 0 .. n-1: the row every candidate bounds
+  std::vector<Interval> bounds;   // the candidate's row, indexed by object
+};
+
+/// Exact change in total deviation if non-medoid `h` takes medoid slot o,
+/// written to deltas[o] for every slot o in [out_begin, out_end); no other
+/// entry is written. One pass prices them all: a BoundsFrom row (h, ·),
+/// then each object j in ascending order against t = ds(j) when its own
+/// medoid is in the range, else dn(j). j is skipped when the row proves
+/// d(j,h) >= t; otherwise LessThan(j, h, t) decides, and a true answer
+/// resolves d(j,h) before the next object. This is the paper's re-authored
+/// IF statement inside PAM/CLARANS: every delta adds the oracle-only
+/// computation's terms in its order, so it equals that computation bit for
+/// bit. `deltas` holds one entry per medoid.
+void SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
+                ObjectId h, uint32_t out_begin, uint32_t out_end,
+                SwapScratch* scratch, std::span<double> deltas);
 
 /// True if `object` appears in `medoids`.
 bool IsMedoid(const std::vector<ObjectId>& medoids, ObjectId object);

@@ -10,7 +10,8 @@ namespace metricprox {
 using medoid_internal::AssignmentTable;
 using medoid_internal::ComputeAssignment;
 using medoid_internal::IsMedoid;
-using medoid_internal::SwapDelta;
+using medoid_internal::SwapDeltas;
+using medoid_internal::SwapScratch;
 
 namespace {
 
@@ -140,16 +141,24 @@ ClusteringResult PamCluster(BoundedResolver* resolver,
   // ---- SWAP ----
   ClusteringResult result;
   AssignmentTable table = ComputeAssignment(resolver, medoids);
+  const uint32_t k = options.num_medoids;
+  SwapScratch scratch;
+  std::vector<double> deltas(k);
   for (uint32_t round = 0; round < options.max_swap_rounds; ++round) {
     double best_delta = 0.0;
     uint32_t best_out = 0;
     ObjectId best_h = kInvalidObject;
-    for (uint32_t out = 0; out < medoids.size(); ++out) {
-      for (ObjectId h = 0; h < n; ++h) {
-        if (IsMedoid(medoids, h)) continue;
-        const double delta = SwapDelta(resolver, medoids, table, out, h);
-        if (delta < best_delta) {  // strictly improving, first-wins ties
-          best_delta = delta;
+    for (ObjectId h = 0; h < n; ++h) {
+      if (IsMedoid(medoids, h)) continue;
+      SwapDeltas(resolver, table, h, 0, k, &scratch, deltas);
+      for (uint32_t out = 0; out < k; ++out) {
+        // The smallest strictly improving delta; a tie goes to the first
+        // pair in (out, h) order. h ascends, so an equal delta displaces the
+        // incumbent only from an earlier slot.
+        if (deltas[out] < best_delta ||
+            (best_h != kInvalidObject && deltas[out] == best_delta &&
+             out < best_out)) {
+          best_delta = deltas[out];
           best_out = out;
           best_h = h;
         }

@@ -23,8 +23,9 @@ struct PamOptions {
 /// remaining lower bounds reaches the incumbent) and each further medoid by
 /// gain maximization, pruning objects whose lower bound proves they cannot
 /// benefit. SWAP repeatedly applies the best strictly-improving
-/// (medoid, non-medoid) exchange, evaluating each exchange's exact delta
-/// via medoid_internal::SwapDelta with per-object pruning.
+/// (medoid, non-medoid) exchange, pricing every exchange of one non-medoid
+/// in a single pass with per-object pruning (medoid_internal::SwapDeltas),
+/// and breaks ties toward the first exchange in (medoid, non-medoid) order.
 ///
 /// Both phases make the same decisions as oracle-only PAM, so the medoids,
 /// assignment and total deviation are identical.

@@ -37,11 +37,11 @@ namespace metricprox {
 ///    column against it — Σ_v deg v entries.
 /// Each call takes the one with fewer entries, counted from Degree(): a
 /// sparse graph bounded against every object (kNN candidate ordering)
-/// scatters, a dense graph bounded against a few unresolved targets (the
-/// PAM swap sweep) gathers. There is no option to pin either. DecideBatch
-/// routes a batch whose pairs all share one endpoint — Prim's key update,
-/// PAM's swap sweep — through BoundsFrom; any other batch takes the
-/// per-pair loop.
+/// scatters, a dense graph bounded against a few unresolved targets (a
+/// PAM swap candidate's row) gathers. There is no option to pin either.
+/// DecideBatch routes a batch whose pairs all share one endpoint (Prim's
+/// key update) through BoundsFrom; any other batch takes the per-pair
+/// loop.
 ///
 /// The paper's Characteristic 1 admits *relaxed* triangle inequalities:
 ///     dist(i, j) <= rho * (dist(i, c) + dist(c, j)),  rho >= 1

@@ -1,11 +1,25 @@
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algo/clarans.h"
 #include "algo/pam.h"
 #include "bounds/scheme.h"
+#include "data/datasets.h"
 #include "data/synthetic.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
+#include "oracle/matrix_oracle.h"
 #include "oracle/vector_oracle.h"
 #include "tests/test_util.h"
 
@@ -14,6 +28,9 @@ namespace {
 
 using testing_util::MakeRandomStack;
 using testing_util::ResolverStack;
+
+// The value SwapDeltas must leave in a slot outside its range.
+constexpr double kUnwritten = std::numeric_limits<double>::quiet_NaN();
 
 ResolverStack MakeClusteredStack(ObjectId n, uint64_t seed) {
   ResolverStack stack;
@@ -197,23 +214,463 @@ TEST(ClaransTest, TriSavesCallsVsWithoutPlug) {
 }
 
 TEST(MedoidCommonTest, SwapDeltaMatchesBruteForceDifference) {
-  ResolverStack stack = MakeClusteredStack(24, 10);
   const std::vector<ObjectId> medoids = {1, 7, 15};
-  auto table =
-      medoid_internal::ComputeAssignment(stack.resolver.get(), medoids);
-  for (ObjectId h = 0; h < 24; ++h) {
-    if (medoid_internal::IsMedoid(medoids, h)) continue;
-    for (uint32_t out = 0; out < medoids.size(); ++out) {
-      const double delta = medoid_internal::SwapDelta(stack.resolver.get(),
-                                                      medoids, table, out, h);
-      std::vector<ObjectId> swapped = medoids;
-      swapped[out] = h;
-      const double expected =
-          BruteTotalDeviation(stack.oracle.get(), swapped) -
-          BruteTotalDeviation(stack.oracle.get(), medoids);
-      ASSERT_NEAR(delta, expected, 1e-9)
-          << "out=" << out << " h=" << h;
+  const uint32_t k = static_cast<uint32_t>(medoids.size());
+  // The full range, then every single-slot range.
+  std::vector<std::pair<uint32_t, uint32_t>> ranges = {{0, k}};
+  for (uint32_t out = 0; out < k; ++out) ranges.emplace_back(out, out + 1);
+  for (const SchemeKind kind : {SchemeKind::kNone, SchemeKind::kTri}) {
+    ResolverStack stack = MakeClusteredStack(24, 10);
+    SchemeOptions scheme_options;
+    auto bounder =
+        MakeAndAttachScheme(kind, stack.resolver.get(), scheme_options);
+    ASSERT_TRUE(bounder.ok());
+    const auto table =
+        medoid_internal::ComputeAssignment(stack.resolver.get(), medoids);
+    medoid_internal::SwapScratch scratch;
+    for (ObjectId h = 0; h < 24; ++h) {
+      if (medoid_internal::IsMedoid(medoids, h)) continue;
+      std::vector<double> full;
+      for (const auto& [begin, end] : ranges) {
+        std::vector<double> deltas(k, kUnwritten);
+        medoid_internal::SwapDeltas(stack.resolver.get(), table, h, begin,
+                                    end, &scratch, deltas);
+        for (uint32_t out = 0; out < k; ++out) {
+          if (out < begin || out >= end) {
+            EXPECT_TRUE(std::isnan(deltas[out]))
+                << "slot " << out << " written for range [" << begin << ", "
+                << end << ")";
+            continue;
+          }
+          std::vector<ObjectId> swapped = medoids;
+          swapped[out] = h;
+          const double expected =
+              BruteTotalDeviation(stack.oracle.get(), swapped) -
+              BruteTotalDeviation(stack.oracle.get(), medoids);
+          ASSERT_NEAR(deltas[out], expected, 1e-9)
+              << SchemeKindName(kind) << " out=" << out << " h=" << h;
+          // Each slot adds the same terms in the same order whatever the
+          // range, so a single-slot delta is the full-range one bit for bit.
+          if (end - begin == k) {
+            full = deltas;
+          } else {
+            EXPECT_EQ(std::bit_cast<uint64_t>(deltas[out]),
+                      std::bit_cast<uint64_t>(full[out]));
+          }
+        }
+      }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sequential references: PAM and CLARANS give the outputs of their
+// sequential algorithm and spend no more oracle calls than it does.
+// ---------------------------------------------------------------------------
+
+// The dataset's distances as a symmetric matrix read from its upper triangle,
+// so that every consumer sees one value per pair whatever the orientation.
+std::vector<double> SymmetricMatrix(DistanceOracle* oracle) {
+  const ObjectId n = oracle->num_objects();
+  std::vector<double> d(static_cast<size_t>(n) * n, 0.0);
+  for (ObjectId i = 0; i < n; ++i) {
+    for (ObjectId j = i + 1; j < n; ++j) {
+      d[static_cast<size_t>(i) * n + j] = oracle->Distance(i, j);
+      d[static_cast<size_t>(j) * n + i] = d[static_cast<size_t>(i) * n + j];
+    }
+  }
+  return d;
+}
+
+enum class Input { kClustered, kSf };
+
+const char* InputName(Input input) {
+  return input == Input::kClustered ? "clustered" : "sf";
+}
+
+std::vector<double> InputMatrix(Input input, ObjectId n, uint64_t seed) {
+  const Dataset dataset = input == Input::kClustered
+                              ? MakeClusteredEuclidean(n, 3, 6, 0.05, seed)
+                              : MakeSfPoiLike(n, seed);
+  return SymmetricMatrix(dataset.oracle.get());
+}
+
+// A resolver over the matrix with `kind` attached (a null bounder for none).
+struct MatrixStack {
+  MatrixStack(const std::vector<double>& matrix, ObjectId n, SchemeKind kind)
+      : oracle(matrix, n), graph(n), resolver(&oracle, &graph) {
+    SchemeOptions options;
+    auto made = MakeAndAttachScheme(kind, &resolver, options);
+    CHECK(made.ok()) << made.status();
+    bounder = std::move(made).value();
+  }
+  MatrixOracle oracle;
+  PartialDistanceGraph graph;
+  BoundedResolver resolver;
+  std::unique_ptr<Bounder> bounder;
+};
+
+// Textbook PAM over the full distance matrix, oracle only. BUILD takes the
+// object of least distance sum, then, k - 1 times, the non-medoid of
+// greatest gain (ties to the smaller id). SWAP applies the best strictly
+// improving exchange, scanning (out, h) in out-major order, until none is
+// left; an object keeps its medoid unless h is strictly closer, and one that
+// loses its medoid moves to h when h is strictly closer than its
+// second-nearest medoid.
+ClusteringResult TextbookPam(const std::vector<double>& matrix, ObjectId n,
+                             uint32_t k, uint32_t max_swap_rounds) {
+  const auto dist = [&](ObjectId i, ObjectId j) {
+    return matrix[static_cast<size_t>(i) * n + j];
+  };
+  ObjectId first = kInvalidObject;
+  double best_sum = kInfDistance;
+  for (ObjectId c = 0; c < n; ++c) {
+    double sum = 0.0;
+    for (ObjectId j = 0; j < n; ++j) {
+      if (j != c) sum += dist(c, j);
+    }
+    if (sum < best_sum) {
+      best_sum = sum;
+      first = c;
+    }
+  }
+  std::vector<ObjectId> medoids = {first};
+  std::vector<double> dn(n);
+  for (ObjectId j = 0; j < n; ++j) dn[j] = dist(first, j);
+  while (medoids.size() < k) {
+    ObjectId next = kInvalidObject;
+    double best_gain = -1.0;
+    for (ObjectId c = 0; c < n; ++c) {
+      if (medoid_internal::IsMedoid(medoids, c)) continue;
+      double gain = 0.0;
+      for (ObjectId j = 0; j < n; ++j) {
+        if (dn[j] > 0.0 && dist(c, j) < dn[j]) gain += dn[j] - dist(c, j);
+      }
+      if (gain > best_gain) {
+        best_gain = gain;
+        next = c;
+      }
+    }
+    medoids.push_back(next);
+    for (ObjectId j = 0; j < n; ++j) dn[j] = std::min(dn[j], dist(next, j));
+  }
+
+  struct Table {
+    std::vector<uint32_t> nearest;
+    std::vector<double> dn, ds;
+    double td = 0.0;
+  };
+  const auto assign = [&] {
+    Table t{std::vector<uint32_t>(n, 0), std::vector<double>(n, kInfDistance),
+            std::vector<double>(n, kInfDistance), 0.0};
+    for (ObjectId j = 0; j < n; ++j) {
+      for (uint32_t m = 0; m < k; ++m) {
+        const double d = dist(j, medoids[m]);
+        if (d < t.dn[j] ||
+            (d == t.dn[j] && medoids[m] < medoids[t.nearest[j]])) {
+          t.ds[j] = t.dn[j];
+          t.dn[j] = d;
+          t.nearest[j] = m;
+        } else if (d < t.ds[j]) {
+          t.ds[j] = d;
+        }
+      }
+      t.td += t.dn[j];
+    }
+    return t;
+  };
+
+  ClusteringResult result;
+  Table table = assign();
+  for (uint32_t round = 0; round < max_swap_rounds; ++round) {
+    double best_delta = 0.0;
+    uint32_t best_out = 0;
+    ObjectId best_h = kInvalidObject;
+    for (uint32_t out = 0; out < k; ++out) {
+      for (ObjectId h = 0; h < n; ++h) {
+        if (medoid_internal::IsMedoid(medoids, h)) continue;
+        double delta = 0.0;
+        for (ObjectId j = 0; j < n; ++j) {
+          const double d = dist(j, h);
+          if (j == h) {
+            delta -= table.dn[j];
+          } else if (table.nearest[j] == out) {
+            delta += d < table.ds[j] ? d - table.dn[j]
+                                     : table.ds[j] - table.dn[j];
+          } else if (d < table.dn[j]) {
+            delta += d - table.dn[j];
+          }
+        }
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_out = out;
+          best_h = h;
+        }
+      }
+    }
+    if (best_h == kInvalidObject) break;
+    medoids[best_out] = best_h;
+    table = assign();
+    ++result.iterations;
+  }
+  result.medoids = medoids;
+  result.assignment = table.nearest;
+  result.total_deviation = table.td;
+  return result;
+}
+
+void ExpectSameClustering(const ClusteringResult& got,
+                          const ClusteringResult& want) {
+  EXPECT_EQ(got.medoids, want.medoids);
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.total_deviation),
+            std::bit_cast<uint64_t>(want.total_deviation));
+}
+
+TEST(PamReferenceTest, MatchesTextbookPamBitForBit) {
+  constexpr ObjectId kN = 40;
+  constexpr uint32_t kK = 4;
+  constexpr uint32_t kRounds = 64;
+  for (const Input input : {Input::kClustered, Input::kSf}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      const std::vector<double> matrix = InputMatrix(input, kN, seed);
+      const ClusteringResult want = TextbookPam(matrix, kN, kK, kRounds);
+      ASSERT_LT(want.iterations, kRounds) << "the reference must converge";
+      for (const SchemeKind kind :
+           {SchemeKind::kNone, SchemeKind::kTri, SchemeKind::kLaesa,
+            SchemeKind::kTlaesa, SchemeKind::kSplub}) {
+        SCOPED_TRACE(::testing::Message() << InputName(input) << " seed="
+                                          << seed << " "
+                                          << SchemeKindName(kind));
+        MatrixStack stack(matrix, kN, kind);
+        ExpectSameClustering(
+            PamCluster(&stack.resolver,
+                       {.num_medoids = kK, .max_swap_rounds = kRounds}),
+            want);
+      }
+    }
+  }
+}
+
+TEST(PamReferenceTest, MatchesTextbookPamOnTiedDeltas) {
+  // Distinct cells of a 4 x 4 grid under the L1 metric: swaps often tie on
+  // their delta, and several of these inputs tie on the best swap, where
+  // only the textbook's out-major first-wins order picks the same one.
+  constexpr ObjectId kN = 12;
+  constexpr uint32_t kK = 3;
+  for (uint64_t seed = 0; seed < 600; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<int> cells(16);
+    std::iota(cells.begin(), cells.end(), 0);
+    std::shuffle(cells.begin(), cells.end(), rng);
+    std::vector<double> matrix(kN * kN, 0.0);
+    for (ObjectId i = 0; i < kN; ++i) {
+      for (ObjectId j = 0; j < kN; ++j) {
+        matrix[i * kN + j] = std::abs(cells[i] % 4 - cells[j] % 4) +
+                             std::abs(cells[i] / 4 - cells[j] / 4);
+      }
+    }
+    const ClusteringResult want = TextbookPam(matrix, kN, kK, 64);
+    for (const SchemeKind kind : {SchemeKind::kNone, SchemeKind::kTri}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " "
+                                        << SchemeKindName(kind));
+      MatrixStack stack(matrix, kN, kind);
+      ExpectSameClustering(PamCluster(&stack.resolver, {.num_medoids = kK}),
+                           want);
+    }
+  }
+}
+
+// SwapDeltas without its row pre-filter: every object is compared through
+// LessThan, so each decision is the one the sequential algorithm makes.
+void SequentialSwapDeltas(BoundedResolver* resolver,
+                          const medoid_internal::AssignmentTable& table,
+                          ObjectId h, uint32_t out_begin, uint32_t out_end,
+                          std::vector<double>* deltas) {
+  for (uint32_t o = out_begin; o < out_end; ++o) (*deltas)[o] = 0.0;
+  for (ObjectId j = 0; j < resolver->num_objects(); ++j) {
+    const double dn = table.dist_nearest[j];
+    if (j == h) {
+      for (uint32_t o = out_begin; o < out_end; ++o) (*deltas)[o] -= dn;
+      continue;
+    }
+    const uint32_t own = table.nearest[j];
+    const bool loses = own >= out_begin && own < out_end;
+    const double ds = table.dist_second[j];
+    const bool moves = resolver->LessThan(j, h, loses ? ds : dn);
+    const double d = moves ? resolver->Distance(j, h) : 0.0;
+    if (loses) (*deltas)[own] += moves ? d - dn : ds - dn;
+    if (moves && d < dn) {
+      for (uint32_t o = out_begin; o < out_end; ++o) {
+        if (o != own) (*deltas)[o] += d - dn;
+      }
+    }
+  }
+}
+
+// PamCluster's SWAP over SequentialSwapDeltas, after PamCluster's own BUILD.
+ClusteringResult SequentialPam(BoundedResolver* resolver, uint32_t k) {
+  std::vector<ObjectId> medoids =
+      PamCluster(resolver, {.num_medoids = k, .max_swap_rounds = 0}).medoids;
+  const ObjectId n = resolver->num_objects();
+  ClusteringResult result;
+  auto table = medoid_internal::ComputeAssignment(resolver, medoids);
+  std::vector<double> deltas(k);
+  for (uint32_t round = 0; round < PamOptions{}.max_swap_rounds; ++round) {
+    double best_delta = 0.0;
+    uint32_t best_out = 0;
+    ObjectId best_h = kInvalidObject;
+    for (ObjectId h = 0; h < n; ++h) {
+      if (medoid_internal::IsMedoid(medoids, h)) continue;
+      SequentialSwapDeltas(resolver, table, h, 0, k, &deltas);
+      for (uint32_t out = 0; out < k; ++out) {
+        if (deltas[out] < best_delta ||
+            (best_h != kInvalidObject && deltas[out] == best_delta &&
+             out < best_out)) {
+          best_delta = deltas[out];
+          best_out = out;
+          best_h = h;
+        }
+      }
+    }
+    if (best_h == kInvalidObject) break;
+    medoids[best_out] = best_h;
+    table = medoid_internal::ComputeAssignment(resolver, medoids);
+    ++result.iterations;
+  }
+  result.medoids = medoids;
+  result.assignment = table.nearest;
+  result.total_deviation = table.total_deviation;
+  return result;
+}
+
+// ClaransCluster over SequentialSwapDeltas: the same draws from the same
+// stream, restart for restart.
+ClusteringResult SequentialClarans(BoundedResolver* resolver,
+                                   const ClaransOptions& options) {
+  const ObjectId n = resolver->num_objects();
+  std::mt19937_64 rng(options.seed);
+  std::vector<double> deltas(options.num_medoids);
+  ClusteringResult best;
+  best.total_deviation = kInfDistance;
+  for (uint32_t local = 0; local < options.num_local; ++local) {
+    std::vector<ObjectId> medoids;
+    while (medoids.size() < options.num_medoids) {
+      const ObjectId candidate = static_cast<ObjectId>(rng() % n);
+      if (!medoid_internal::IsMedoid(medoids, candidate)) {
+        medoids.push_back(candidate);
+      }
+    }
+    auto table = medoid_internal::ComputeAssignment(resolver, medoids);
+    uint32_t accepted = 0;
+    uint32_t stale = 0;
+    while (stale < options.max_neighbor) {
+      const uint32_t out = static_cast<uint32_t>(rng() % medoids.size());
+      const ObjectId h = static_cast<ObjectId>(rng() % n);
+      if (medoid_internal::IsMedoid(medoids, h)) continue;
+      SequentialSwapDeltas(resolver, table, h, out, out + 1, &deltas);
+      if (deltas[out] < 0.0) {
+        medoids[out] = h;
+        table = medoid_internal::ComputeAssignment(resolver, medoids);
+        ++accepted;
+        stale = 0;
+      } else {
+        ++stale;
+      }
+    }
+    if (table.total_deviation < best.total_deviation) {
+      best.medoids = medoids;
+      best.assignment = table.nearest;
+      best.total_deviation = table.total_deviation;
+      best.iterations = accepted;
+    }
+  }
+  return best;
+}
+
+constexpr SchemeKind kPlugSchemes[] = {SchemeKind::kTri, SchemeKind::kLaesa,
+                                       SchemeKind::kTlaesa, SchemeKind::kSplub};
+
+TEST(PamReferenceTest, RowPrefilterSpendsTheSequentialLoopsCalls) {
+  constexpr ObjectId kN = 48;
+  constexpr uint32_t kK = 5;
+  for (const Input input : {Input::kClustered, Input::kSf}) {
+    const std::vector<double> matrix = InputMatrix(input, kN, 4);
+    for (const SchemeKind kind : kPlugSchemes) {
+      SCOPED_TRACE(::testing::Message() << InputName(input) << " "
+                                        << SchemeKindName(kind));
+      MatrixStack sequential(matrix, kN, kind);
+      const ClusteringResult want = SequentialPam(&sequential.resolver, kK);
+      MatrixStack framework(matrix, kN, kind);
+      ExpectSameClustering(
+          PamCluster(&framework.resolver, {.num_medoids = kK}), want);
+      EXPECT_EQ(framework.resolver.stats().oracle_calls,
+                sequential.resolver.stats().oracle_calls);
+    }
+  }
+}
+
+TEST(ClaransReferenceTest, RowPrefilterSpendsTheSequentialLoopsCalls) {
+  constexpr ObjectId kN = 48;
+  const ClaransOptions options{.num_medoids = 5, .num_local = 2,
+                               .max_neighbor = 48, .seed = 17};
+  for (const Input input : {Input::kClustered, Input::kSf}) {
+    const std::vector<double> matrix = InputMatrix(input, kN, 5);
+    for (const SchemeKind kind : kPlugSchemes) {
+      SCOPED_TRACE(::testing::Message() << InputName(input) << " "
+                                        << SchemeKindName(kind));
+      MatrixStack sequential(matrix, kN, kind);
+      const ClusteringResult want =
+          SequentialClarans(&sequential.resolver, options);
+      MatrixStack framework(matrix, kN, kind);
+      ExpectSameClustering(ClaransCluster(&framework.resolver, options),
+                           want);
+      EXPECT_EQ(framework.resolver.stats().oracle_calls,
+                sequential.resolver.stats().oracle_calls);
+    }
+  }
+}
+
+// Records the ordered pair of every comparison the resolver is asked.
+class ComparisonLog final : public TraceSink {
+ public:
+  void Emit(const TraceEvent& event) override {
+    if (event.kind == TraceEventKind::kComparison) {
+      pairs.push_back(uint64_t{event.i} << 32 | event.j);
+    }
+  }
+  std::vector<uint64_t> pairs;
+};
+
+TEST(PamReferenceTest, OneSwapRoundComparesEachCandidateRowOnce) {
+  // A round prices every (out, h) swap from one pass per candidate h: each
+  // (j, h) is compared at most once, (n - k)(n - 1) comparisons at most,
+  // where one comparison per (out, h, j) would be k times that.
+  constexpr ObjectId kN = 48;
+  constexpr uint32_t kK = 5;
+  const std::vector<double> matrix = InputMatrix(Input::kSf, kN, 6);
+  for (const SchemeKind kind : {SchemeKind::kNone, SchemeKind::kTri}) {
+    SCOPED_TRACE(SchemeKindName(kind));
+    MatrixStack build_only(matrix, kN, kind);
+    PamCluster(&build_only.resolver, {.num_medoids = kK, .max_swap_rounds = 0});
+    MatrixStack one_round(matrix, kN, kind);
+    ComparisonLog log;
+    Telemetry telemetry;
+    telemetry.sink = &log;
+    one_round.resolver.SetTelemetry(&telemetry);
+    PamCluster(&one_round.resolver, {.num_medoids = kK, .max_swap_rounds = 1});
+    ASSERT_EQ(log.pairs.size(), one_round.resolver.stats().comparisons);
+    // BUILD is deterministic: its comparisons come first.
+    std::vector<uint64_t> swap(
+        log.pairs.begin() +
+            static_cast<ptrdiff_t>(build_only.resolver.stats().comparisons),
+        log.pairs.end());
+    EXPECT_GT(swap.size(), 0u);
+    EXPECT_LE(swap.size(), uint64_t{kN - kK} * (kN - 1));
+    std::sort(swap.begin(), swap.end());
+    EXPECT_TRUE(std::adjacent_find(swap.begin(), swap.end()) == swap.end())
+        << "a (j, h) pair was compared twice in one round";
   }
 }
 

@@ -27,7 +27,8 @@
 //                            without the oracle (0 <= eps < 1; 0 = exact;
 //                            counted as decided_by_slack). Only workloads
 //                            with an approximate contract accept it:
-//                            mst (prim|boruvka), knn, cluster (pam|dbscan).
+//                            mst (prim|boruvka), knn, cluster
+//                            (pam|clarans|dbscan).
 //                            NOTE: DBSCAN's neighborhood radius, formerly
 //                            --eps, is now --radius.
 //   --oracle-budget=<k>      hard cap on workload-phase oracle calls
@@ -142,8 +143,10 @@
 #include "bounds/scheme.h"
 #include "bounds/weak.h"
 #include "check/certify.h"
+#include "core/logging.h"
 #include "core/simd.h"
 #include "core/stats.h"
+#include "core/status.h"
 #include "data/datasets.h"
 #include "harness/flags.h"
 #include "harness/table.h"
@@ -257,12 +260,27 @@ struct CommandFlags {
   int64_t min_pts = 0;    // cluster --method=dbscan
 };
 
-CommandFlags ReadCommandFlags(const std::string& command, const Flags& flags) {
+/// Reads the command's own flags and rejects an unknown command, --algorithm
+/// or --method on the spot, so RunCommand only ever sees known ones.
+StatusOr<CommandFlags> ReadCommandFlags(const std::string& command,
+                                        const Flags& flags) {
   CommandFlags c;
-  if (command == "mst") c.algorithm = flags.GetString("algorithm", "prim");
-  if (command == "knn") c.k = flags.GetInt("k", 5);
-  if (command == "cluster") {
+  if (command == "mst") {
+    c.algorithm = flags.GetString("algorithm", "prim");
+    if (c.algorithm != "prim" && c.algorithm != "kruskal" &&
+        c.algorithm != "boruvka") {
+      return Status::InvalidArgument(
+          "unknown --algorithm (prim|kruskal|boruvka)");
+    }
+  } else if (command == "knn") {
+    c.k = flags.GetInt("k", 5);
+  } else if (command == "cluster") {
     c.method = flags.GetString("method", "pam");
+    if (c.method != "pam" && c.method != "clarans" && c.method != "dbscan" &&
+        c.method != "kcenter" && c.method != "linkage") {
+      return Status::InvalidArgument(
+          "unknown --method (pam|clarans|dbscan|kcenter|linkage)");
+    }
     c.l = flags.GetInt("l", 10);
     if (c.method == "dbscan") {
       // The neighborhood radius is --radius (like join); --eps is the
@@ -270,8 +288,12 @@ CommandFlags ReadCommandFlags(const std::string& command, const Flags& flags) {
       c.radius = flags.GetDouble("radius", 1.0);
       c.min_pts = flags.GetInt("min-pts", 4);
     }
+  } else if (command == "join") {
+    c.radius = flags.GetDouble("radius", 1.0);
+  } else if (command != "diameter") {
+    return Status::InvalidArgument("unknown command: " + command +
+                                   " (mst|knn|cluster|join|diameter)");
   }
-  if (command == "join") c.radius = flags.GetDouble("radius", 1.0);
   return c;
 }
 
@@ -339,7 +361,9 @@ int Run(const std::string& command, const Flags& flags) {
       flags.GetInt("weak-seed", static_cast<int64_t>(seed)));
   const bool has_weak_cost = flags.Has("weak-cost");
   const double weak_cost = flags.GetDouble("weak-cost", 0.0);
-  const CommandFlags cmd = ReadCommandFlags(command, flags);
+  const StatusOr<CommandFlags> read_cmd = ReadCommandFlags(command, flags);
+  if (!read_cmd.ok()) return Fail(std::string(read_cmd.status().message()));
+  const CommandFlags& cmd = *read_cmd;
 
   // Every flag is read by now: reject an unparseable value or an unknown
   // flag, then malformed numerics and inconsistent combos, before anything
@@ -421,13 +445,14 @@ int Run(const std::string& command, const Flags& flags) {
     } else if (command == "knn") {
       contract = true;
     } else if (command == "cluster") {
-      contract = cmd.method == "pam" || cmd.method == "dbscan";
+      contract = cmd.method == "pam" || cmd.method == "clarans" ||
+                 cmd.method == "dbscan";
     }
     if (!contract) {
       return Fail(
           "--eps/--oracle-budget require a workload with an approximate "
           "contract: mst (--algorithm=prim|boruvka), knn, or cluster "
-          "(--method=pam|dbscan)");
+          "(--method=pam|clarans|dbscan)");
     }
   }
   const bool weak_active = has_weak_alpha;
@@ -1057,7 +1082,10 @@ int RunObs(const std::string& verb, const Flags& flags) {
 /// resolver's fallible scope (twice under --audit). Returns a process exit
 /// code; `*checksum` receives the command's headline value (MST weight,
 /// mean k-th distance, ...) for the audit's byte-identity comparison, and
-/// `quiet` suppresses the result lines on the audit's baseline pass.
+/// `quiet` suppresses the result lines on the audit's baseline pass. The
+/// command, --algorithm and --method are known: ReadCommandFlags rejected
+/// any other value before the run began, so each chain's last branch takes
+/// the one value left.
 int RunCommand(const std::string& command, const CommandFlags& cmd,
                ObjectId n, uint64_t seed, BoundedResolver* resolver_ptr,
                bool quiet, double* checksum) {
@@ -1069,10 +1097,9 @@ int RunCommand(const std::string& command, const CommandFlags& cmd,
       mst = PrimMst(&resolver);
     } else if (algorithm == "kruskal") {
       mst = KruskalMst(&resolver);
-    } else if (algorithm == "boruvka") {
-      mst = BoruvkaMst(&resolver);
     } else {
-      return Fail("unknown --algorithm (prim|kruskal|boruvka)");
+      CHECK(algorithm == "boruvka") << "unvalidated --algorithm " << algorithm;
+      mst = BoruvkaMst(&resolver);
     }
     *checksum = mst.total_weight;
     if (!quiet) {
@@ -1134,7 +1161,8 @@ int RunCommand(const std::string& command, const CommandFlags& cmd,
                     "points\n",
                     dbscan.eps, dbscan.min_pts, c.num_clusters, noise);
       }
-    } else if (method == "linkage") {
+    } else {
+      CHECK(method == "linkage") << "unvalidated --method " << method;
       const SingleLinkageResult c = SingleLinkageCluster(&resolver);
       double height_sum = 0.0;
       for (const auto& merge : c.merges) height_sum += merge.height;
@@ -1144,8 +1172,6 @@ int RunCommand(const std::string& command, const CommandFlags& cmd,
                     c.merges.size(), c.merges.front().height,
                     c.merges.back().height);
       }
-    } else {
-      return Fail("unknown --method (pam|clarans|dbscan|kcenter|linkage)");
     }
   } else if (command == "join") {
     const double radius = cmd.radius;
@@ -1155,16 +1181,14 @@ int RunCommand(const std::string& command, const CommandFlags& cmd,
       std::printf("similarity join (radius %.4f): %zu matching pairs\n",
                   radius, matches.size());
     }
-  } else if (command == "diameter") {
+  } else {
+    CHECK(command == "diameter") << "unvalidated command " << command;
     const DiameterEstimate d = ApproximateDiameter(&resolver);
     *checksum = d.distance;
     if (!quiet) {
       std::printf("diameter >= %.6f (between objects %u and %u; 2-approx)\n",
                   d.distance, d.u, d.v);
     }
-  } else {
-    return Fail("unknown command: " + command +
-                " (mst|knn|cluster|join|diameter)");
   }
   return 0;
 }
