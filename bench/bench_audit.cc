@@ -95,12 +95,15 @@ int main(int argc, char** argv) {
   auto flags = metricprox::Flags::Parse(argc, argv);
   CHECK(flags.ok()) << flags.status();
   const std::string dataset_name = flags->GetString("dataset", "sf");
-  // Every name but random and urbangb builds sf.
+  const auto make_dataset =
+      metricprox::benchutil::RoadOrRandomDataset(dataset_name);
+  if (!make_dataset.ok()) {
+    std::fprintf(stderr, "%s\n", make_dataset.status().ToString().c_str());
+    return 1;
+  }
   const StatusOr<std::vector<ObjectId>> parsed_sizes =
-      metricprox::benchutil::ParseSizes(
-          flags->GetString("sizes", "128,256"),
-          dataset_name == "random" || dataset_name == "urbangb" ? dataset_name
-                                                                : "sf");
+      metricprox::benchutil::ParseSizes(flags->GetString("sizes", "128,256"),
+                                        dataset_name);
   if (!parsed_sizes.ok()) {
     std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
     return 1;
@@ -120,12 +123,7 @@ int main(int argc, char** argv) {
       "with byte-identical\noutputs, identical oracle calls and 100%% "
       "verified certificates asserted as a side effect.\n");
   for (const ObjectId n : sizes) {
-    Dataset dataset =
-        dataset_name == "random"
-            ? metricprox::MakeRandomMetric(n, seed)
-            : dataset_name == "urbangb"
-                ? metricprox::MakeUrbanGbLike(n, seed)
-                : metricprox::MakeSfPoiLike(n, seed);
+    const Dataset dataset = (*make_dataset)(n, seed);
     RunMatrix(dataset, n, seed, k, l);
   }
   return 0;

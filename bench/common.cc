@@ -39,6 +39,16 @@ StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
   return count;
 }
 
+StatusOr<std::function<Dataset(ObjectId, uint64_t)>> RoadOrRandomDataset(
+    std::string_view name) {
+  using Maker = std::function<Dataset(ObjectId, uint64_t)>;
+  if (name == "sf") return Maker(MakeSfPoiLike);
+  if (name == "urbangb") return Maker(MakeUrbanGbLike);
+  if (name == "random") return Maker(MakeRandomMetric);
+  return Status::InvalidArgument("unknown --dataset: '" + std::string(name) +
+                                 "' (want sf, urbangb or random)");
+}
+
 StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
                                            std::string_view dataset) {
   std::vector<ObjectId> sizes;

@@ -33,6 +33,12 @@ StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
 StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
                                            std::string_view dataset = "");
 
+/// The dataset builder for a bench's --dataset flag: "sf" (the default of
+/// every bench that takes the flag), "urbangb" or "random". Any other name is
+/// InvalidArgument, so the bench can exit before any work.
+StatusOr<std::function<Dataset(ObjectId, uint64_t)>> RoadOrRandomDataset(
+    std::string_view name);
+
 /// Ready-made workloads (checksum = MST weight / total deviation / k-NN
 /// distance sum) so every bench can assert scheme-independence of results.
 Workload PrimWorkload();

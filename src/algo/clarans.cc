@@ -60,8 +60,11 @@ ClusteringResult ClaransCluster(BoundedResolver* resolver,
         // the plugged and oracle-only runs.
         continue;
       }
-      SwapDeltas(resolver, table, h, out, out + 1, &scratch, deltas);
-      if (deltas[out] < 0.0) {
+      // Only a strictly negative delta is taken, so a row that proves the
+      // delta exceeds 0 settles the draw without a comparison.
+      if (SwapDeltas(resolver, table, h, out, out + 1, /*incumbent=*/0.0,
+                     &scratch, deltas) &&
+          deltas[out] < 0.0) {
         medoids[out] = h;
         table = ComputeAssignment(resolver, medoids);
         ++accepted;

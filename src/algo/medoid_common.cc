@@ -1,6 +1,7 @@
 #include "algo/medoid_common.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -51,9 +52,20 @@ AssignmentTable ComputeAssignment(BoundedResolver* resolver,
   return table;
 }
 
-void SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
+double TermLowerBound(const Interval& bounds, double cap, double base) {
+  const double shaved = bounds.lo - BoundDecisionMargin(bounds.lo);
+  return std::min(shaved > 0.0 ? shaved : 0.0, cap) - base;
+}
+
+double SumMargin(size_t objects, double magnitude) {
+  return 4.0 * static_cast<double>(objects) *
+         std::numeric_limits<double>::epsilon() * magnitude;
+}
+
+bool SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
                 ObjectId h, uint32_t out_begin, uint32_t out_end,
-                SwapScratch* scratch, std::span<double> deltas) {
+                double incumbent, SwapScratch* scratch,
+                std::span<double> deltas) {
   CHECK(scratch != nullptr);
   CHECK_LT(out_begin, out_end);
   CHECK_LE(out_end, deltas.size());
@@ -71,7 +83,34 @@ void SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
   row.resize(n);
   resolver->BoundsFrom(h, targets, row);
 
+  // Every slot's delta bounded from the row (TermLowerBound): `kept` adds
+  // each object's term with cap dn, and a slot adds, for the objects it
+  // serves, what the cap ds puts on top. j = h comes out as -dn(h), its
+  // row entry being Exact(0). Every term of a delta and of its bound, and
+  // every correction, is at most ds(j) in size.
   const auto slots = deltas.subspan(out_begin, out_end - out_begin);
+  std::fill(slots.begin(), slots.end(), 0.0);
+  double kept = 0.0;
+  double magnitude = 0.0;
+  for (ObjectId j = 0; j < n; ++j) {
+    const double dn = table.dist_nearest[j];
+    const double ds = table.dist_second[j];
+    const double term = TermLowerBound(row[j], dn, dn);
+    kept += term;
+    magnitude += ds;
+    const uint32_t own = table.nearest[j];
+    if (own >= out_begin && own < out_end) {
+      deltas[own] += TermLowerBound(row[j], ds, dn) - term;
+    }
+  }
+  const double margin = SumMargin(n, magnitude);
+  bool beaten = true;
+  for (double& bound : slots) {
+    bound = kept + bound - margin;
+    beaten = beaten && bound > incumbent;
+  }
+  if (beaten) return false;
+
   std::fill(slots.begin(), slots.end(), 0.0);
   for (ObjectId j = 0; j < n; ++j) {
     const double dn = table.dist_nearest[j];
@@ -102,6 +141,7 @@ void SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
       }
     }
   }
+  return true;
 }
 
 }  // namespace medoid_internal

@@ -41,6 +41,41 @@ struct AssignmentTable {
 AssignmentTable ComputeAssignment(BoundedResolver* resolver,
                                   const std::vector<ObjectId>& medoids);
 
+/// The bound behind every candidate pruning of PAM and CLARANS. Each of
+/// their objectives adds up, over the objects j, what j pays once candidate
+/// c is a medoid minus what j pays now: min(d(c, j), cap) - base, where cap
+/// is what j pays when c does not serve it.
+/// - BUILD 1, the distance sum: cap = infinity and base = 0.
+/// - BUILD 2..k, the negated gain: cap = base = dn(j).
+/// - SWAP of c into slot o: base = dn(j); cap = ds(j) for the objects that
+///   o serves, dn(j) for the rest.
+/// The term is non-decreasing in d(c, j), so putting in the lo of c's
+/// bound row bounds it from below. The lo is first shaved by
+/// BoundDecisionMargin and floored at 0, since a bound can stray a few ulps
+/// above the distance; rounding is monotone, so the computed term stays at
+/// or below the objective's computed term too.
+double TermLowerBound(const Interval& bounds, double cap, double base);
+
+/// What a lower bound summed from TermLowerBound terms gives up so that it
+/// stays below the objective as the textbook loop adds it, in floating point.
+/// The bound adds one term per object and at most one correction per object as
+/// its pair resolves, each rounded once before it is added; the objective adds
+/// one term per object. Recursive summation of r terms errs by at most gamma(r)
+/// times their absolute sum, where gamma(r) = r u / (1 - r u) and
+/// u = epsilon / 2 is the unit roundoff (Higham, Accuracy and Stability of
+/// Numerical Algorithms, 2nd ed., 4.2). Let `magnitude` bound both the absolute
+/// sum of the bound's terms and corrections and that of the objective's terms.
+/// Then the bound errs by at most (gamma(2 objects) + u) magnitude, the
+/// objective by at most gamma(objects) magnitude, and subtracting the margin
+/// rounds once more, by at most u (magnitude + margin). For objects < 2^40 that
+/// is under (3.01 objects + 2.01) u magnitude, which the margin,
+/// 8 objects u magnitude, covers from one object up. When the objective's terms
+/// all have one sign, its error is at most gamma(objects) times its own size,
+/// and x - gamma |x| grows with x: since the exact objective is at least the
+/// exact bound, the computed one stays at least bound - gamma(objects) |bound|,
+/// and the bound's own terms and corrections are magnitude enough.
+double SumMargin(size_t objects, double magnitude);
+
 /// The per-candidate buffers of SwapDeltas that grow with n. PAM and CLARANS
 /// keep one across their candidates, so no candidate allocates in
 /// proportion to n.
@@ -59,9 +94,17 @@ struct SwapScratch {
 /// IF statement inside PAM/CLARANS: every delta adds the oracle-only
 /// computation's terms in its order, so it equals that computation bit for
 /// bit. `deltas` holds one entry per medoid.
-void SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
+///
+/// Before any comparison, the same row bounds every slot's delta from below
+/// (TermLowerBound, less SumMargin). When every slot's bound exceeds
+/// `incumbent`, no slot can win against it: SwapDeltas then returns false
+/// without a comparison or an oracle call, and the range holds those
+/// bounds instead of the deltas. Otherwise it returns true. An infinite
+/// incumbent prices every candidate.
+bool SwapDeltas(BoundedResolver* resolver, const AssignmentTable& table,
                 ObjectId h, uint32_t out_begin, uint32_t out_end,
-                SwapScratch* scratch, std::span<double> deltas);
+                double incumbent, SwapScratch* scratch,
+                std::span<double> deltas);
 
 /// True if `object` appears in `medoids`.
 bool IsMedoid(const std::vector<ObjectId>& medoids, ObjectId object);

@@ -18,17 +18,24 @@ struct PamOptions {
 /// PAM (Kaufman & Rousseeuw) k-medoid clustering re-authored against the
 /// bound framework (Figures 6c, 6d, 7b, 8a, 8c, 9b workloads).
 ///
-/// BUILD selects the first medoid by branch-and-bound over candidate
-/// distance sums (early-abandoning a candidate once its partial sum plus the
-/// remaining lower bounds reaches the incumbent) and each further medoid by
-/// gain maximization, pruning objects whose lower bound proves they cannot
-/// benefit. SWAP repeatedly applies the best strictly-improving
-/// (medoid, non-medoid) exchange, pricing every exchange of one non-medoid
+/// BUILD takes the object of least distance sum, then, k - 1 times, the
+/// non-medoid of greatest gain against the current nearest-medoid
+/// distances, ties to the smaller id. Both argmins run best-first over the
+/// candidates: a candidate's bound row bounds its whole sum
+/// (medoid_internal::TermLowerBound), so a candidate whose row proves it
+/// cannot beat the incumbent is dropped without an oracle call, and one
+/// that is evaluated is abandoned once its resolved part rules it out.
+/// SWAP repeatedly applies the best strictly-improving (medoid, non-medoid)
+/// exchange, breaking ties toward the first exchange in
+/// (medoid, non-medoid) order. It prices every exchange of one non-medoid
 /// in a single pass with per-object pruning (medoid_internal::SwapDeltas),
-/// and breaks ties toward the first exchange in (medoid, non-medoid) order.
+/// and skips the non-medoid outright when that pass's row proves no slot
+/// beats the best delta so far.
 ///
-/// Both phases make the same decisions as oracle-only PAM, so the medoids,
-/// assignment and total deviation are identical.
+/// Every bound is a proven one, and a candidate's objective is compared as
+/// the oracle-only loop adds it, so both phases pick what oracle-only PAM
+/// picks: the medoids, assignment, rounds and total deviation are
+/// identical, bit for bit.
 ClusteringResult PamCluster(BoundedResolver* resolver,
                             const PamOptions& options);
 

@@ -85,7 +85,9 @@ const Workload kPam = [](BoundedResolver* r) {
 // ---------------------------------------------------------------------------
 // Id permutation: outputs are preserved modulo relabeling; oracle_calls are
 // permutation-invariant only without a scheme (landmark choices and
-// tie-breaks inside the schemes legitimately depend on ids).
+// tie-breaks inside the schemes legitimately depend on ids), and for
+// workloads whose visit order does not depend on ids (PAM's best-first
+// BUILD breaks ties between cached sums by id).
 // ---------------------------------------------------------------------------
 
 TEST(MetamorphicPermutationTest, MstWeightInvariant) {
@@ -148,7 +150,8 @@ TEST(MetamorphicPermutationTest, PamDeviationInvariant) {
   const WorkloadResult a = RunOn(base, kN, SchemeKind::kNone, kPam);
   const WorkloadResult b = RunOn(permuted, kN, SchemeKind::kNone, kPam);
   EXPECT_NEAR(a.value, b.value, 1e-9);
-  EXPECT_EQ(a.stats.oracle_calls, b.stats.oracle_calls);
+  EXPECT_LE(a.stats.oracle_calls, uint64_t{kN} * (kN - 1) / 2);
+  EXPECT_LE(b.stats.oracle_calls, uint64_t{kN} * (kN - 1) / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -233,8 +233,9 @@ TEST(MedoidCommonTest, SwapDeltaMatchesBruteForceDifference) {
       std::vector<double> full;
       for (const auto& [begin, end] : ranges) {
         std::vector<double> deltas(k, kUnwritten);
-        medoid_internal::SwapDeltas(stack.resolver.get(), table, h, begin,
-                                    end, &scratch, deltas);
+        ASSERT_TRUE(medoid_internal::SwapDeltas(stack.resolver.get(), table,
+                                                h, begin, end, kInfDistance,
+                                                &scratch, deltas));
         for (uint32_t out = 0; out < k; ++out) {
           if (out < begin || out >= end) {
             EXPECT_TRUE(std::isnan(deltas[out]))
@@ -310,13 +311,33 @@ struct MatrixStack {
   std::unique_ptr<Bounder> bounder;
 };
 
+// The textbook's change in total deviation when non-medoid h takes slot
+// `out`, added over j in ascending order: an object keeps its medoid unless
+// h is strictly closer, and one that loses its medoid moves to h when h is
+// strictly closer than its second-nearest medoid.
+double TextbookDelta(const std::vector<double>& matrix, ObjectId n,
+                     const std::vector<uint32_t>& nearest,
+                     const std::vector<double>& dn,
+                     const std::vector<double>& ds, uint32_t out, ObjectId h) {
+  double delta = 0.0;
+  for (ObjectId j = 0; j < n; ++j) {
+    const double d = matrix[static_cast<size_t>(j) * n + h];
+    if (j == h) {
+      delta -= dn[j];
+    } else if (nearest[j] == out) {
+      delta += d < ds[j] ? d - dn[j] : ds[j] - dn[j];
+    } else if (d < dn[j]) {
+      delta += d - dn[j];
+    }
+  }
+  return delta;
+}
+
 // Textbook PAM over the full distance matrix, oracle only. BUILD takes the
 // object of least distance sum, then, k - 1 times, the non-medoid of
 // greatest gain (ties to the smaller id). SWAP applies the best strictly
-// improving exchange, scanning (out, h) in out-major order, until none is
-// left; an object keeps its medoid unless h is strictly closer, and one that
-// loses its medoid moves to h when h is strictly closer than its
-// second-nearest medoid.
+// improving exchange (TextbookDelta), scanning (out, h) in out-major order,
+// until none is left.
 ClusteringResult TextbookPam(const std::vector<double>& matrix, ObjectId n,
                              uint32_t k, uint32_t max_swap_rounds) {
   const auto dist = [&](ObjectId i, ObjectId j) {
@@ -389,18 +410,8 @@ ClusteringResult TextbookPam(const std::vector<double>& matrix, ObjectId n,
     for (uint32_t out = 0; out < k; ++out) {
       for (ObjectId h = 0; h < n; ++h) {
         if (medoid_internal::IsMedoid(medoids, h)) continue;
-        double delta = 0.0;
-        for (ObjectId j = 0; j < n; ++j) {
-          const double d = dist(j, h);
-          if (j == h) {
-            delta -= table.dn[j];
-          } else if (table.nearest[j] == out) {
-            delta += d < table.ds[j] ? d - table.dn[j]
-                                     : table.ds[j] - table.dn[j];
-          } else if (d < table.dn[j]) {
-            delta += d - table.dn[j];
-          }
-        }
+        const double delta =
+            TextbookDelta(matrix, n, table.nearest, table.dn, table.ds, out, h);
         if (delta < best_delta) {
           best_delta = delta;
           best_out = out;
@@ -482,8 +493,122 @@ TEST(PamReferenceTest, MatchesTextbookPamOnTiedDeltas) {
   }
 }
 
-// SwapDeltas without its row pre-filter: every object is compared through
-// LessThan, so each decision is the one the sequential algorithm makes.
+TEST(PamReferenceTest, MatchesTextbookPamWhenEveryBuildObjectiveTies) {
+  // On a cycle, d(i, j) = min(|i - j|, n - |i - j|): every distance sum is
+  // the same and many gains are, so only the textbook's smaller-id rule
+  // picks BUILD's medoids.
+  for (const ObjectId n : {12u, 13u, 30u}) {
+    std::vector<double> matrix(static_cast<size_t>(n) * n);
+    for (ObjectId i = 0; i < n; ++i) {
+      for (ObjectId j = 0; j < n; ++j) {
+        const ObjectId gap = i > j ? i - j : j - i;
+        matrix[static_cast<size_t>(i) * n + j] = std::min(gap, n - gap);
+      }
+    }
+    for (const uint32_t k : {2u, 3u, 5u}) {
+      const ClusteringResult build = TextbookPam(matrix, n, k, 0);
+      const ClusteringResult want = TextbookPam(matrix, n, k, 64);
+      for (const SchemeKind kind : {SchemeKind::kNone, SchemeKind::kTri,
+                                    SchemeKind::kLaesa, SchemeKind::kSplub}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k << " "
+                                          << SchemeKindName(kind));
+        MatrixStack build_only(matrix, n, kind);
+        ExpectSameClustering(
+            PamCluster(&build_only.resolver,
+                       {.num_medoids = k, .max_swap_rounds = 0}),
+            build);
+        MatrixStack stack(matrix, n, kind);
+        ExpectSameClustering(PamCluster(&stack.resolver, {.num_medoids = k}),
+                             want);
+      }
+    }
+  }
+}
+
+TEST(PamReferenceTest, SwapSlotBoundsNeverExceedTheTextbookDelta) {
+  // Every slot bound a candidate's row gives is at most the textbook's
+  // delta, and a candidate that the bound skips in a SWAP round is never
+  // that round's textbook winner.
+  constexpr ObjectId kN = 40;
+  constexpr uint32_t kK = 4;
+  uint64_t skipped = 0;
+  for (const Input input : {Input::kClustered, Input::kSf}) {
+    const std::vector<double> matrix = InputMatrix(input, kN, 7);
+    for (const SchemeKind kind :
+         {SchemeKind::kNone, SchemeKind::kTri, SchemeKind::kLaesa,
+          SchemeKind::kTlaesa, SchemeKind::kSplub}) {
+      SCOPED_TRACE(::testing::Message() << InputName(input) << " "
+                                        << SchemeKindName(kind));
+      MatrixStack stack(matrix, kN, kind);
+      // BUILD's resolved pairs give the rows something to bound with.
+      const std::vector<ObjectId> medoids =
+          PamCluster(&stack.resolver, {.num_medoids = kK, .max_swap_rounds = 0})
+              .medoids;
+      const auto table =
+          medoid_internal::ComputeAssignment(&stack.resolver, medoids);
+      const auto textbook_delta = [&](uint32_t out, ObjectId h) {
+        return TextbookDelta(matrix, kN, table.nearest, table.dist_nearest,
+                             table.dist_second, out, h);
+      };
+      // The round's textbook winner: the first strict minimum in (out, h)
+      // order.
+      double want_delta = 0.0;
+      uint32_t want_out = 0;
+      ObjectId want_h = kInvalidObject;
+      for (uint32_t out = 0; out < kK; ++out) {
+        for (ObjectId h = 0; h < kN; ++h) {
+          if (medoid_internal::IsMedoid(medoids, h)) continue;
+          if (textbook_delta(out, h) < want_delta) {
+            want_delta = textbook_delta(out, h);
+            want_out = out;
+            want_h = h;
+          }
+        }
+      }
+
+      // PAM's round, with the bounds checked on the way.
+      medoid_internal::SwapScratch scratch;
+      std::vector<double> deltas(kK);
+      double best_delta = 0.0;
+      uint32_t best_out = 0;
+      ObjectId best_h = kInvalidObject;
+      for (ObjectId h = 0; h < kN; ++h) {
+        if (medoid_internal::IsMedoid(medoids, h)) continue;
+        // An incumbent below every finite bound skips h and leaves the slot
+        // bounds in `deltas`.
+        ASSERT_FALSE(medoid_internal::SwapDeltas(&stack.resolver, table, h, 0,
+                                                 kK, -kInfDistance, &scratch,
+                                                 deltas));
+        for (uint32_t out = 0; out < kK; ++out) {
+          EXPECT_LE(deltas[out], textbook_delta(out, h))
+              << "out=" << out << " h=" << h;
+        }
+        if (!medoid_internal::SwapDeltas(&stack.resolver, table, h, 0, kK,
+                                         best_delta, &scratch, deltas)) {
+          ++skipped;
+          EXPECT_NE(h, want_h) << "the bound skipped the winner";
+          continue;
+        }
+        for (uint32_t out = 0; out < kK; ++out) {
+          if (deltas[out] < best_delta ||
+              (best_h != kInvalidObject && deltas[out] == best_delta &&
+               out < best_out)) {
+            best_delta = deltas[out];
+            best_out = out;
+            best_h = h;
+          }
+        }
+      }
+      EXPECT_EQ(best_h, want_h);
+      EXPECT_EQ(best_out, want_out);
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+}
+
+// SwapDeltas without its row pre-filter and without its candidate bound:
+// every object is compared through LessThan, so each decision is the one
+// the sequential algorithm makes.
 void SequentialSwapDeltas(BoundedResolver* resolver,
                           const medoid_internal::AssignmentTable& table,
                           ObjectId h, uint32_t out_begin, uint32_t out_end,
@@ -592,9 +717,14 @@ ClusteringResult SequentialClarans(BoundedResolver* resolver,
 constexpr SchemeKind kPlugSchemes[] = {SchemeKind::kTri, SchemeKind::kLaesa,
                                        SchemeKind::kTlaesa, SchemeKind::kSplub};
 
-TEST(PamReferenceTest, RowPrefilterSpendsTheSequentialLoopsCalls) {
+// The row pre-filter and the candidate bound only drop comparisons that the
+// sequential SWAP loop makes (both runs share PamCluster's BUILD), so no
+// case spends more calls; over all cases the candidate bound saves some.
+TEST(PamReferenceTest, RowBoundsSpendAtMostTheSequentialLoopsCalls) {
   constexpr ObjectId kN = 48;
   constexpr uint32_t kK = 5;
+  uint64_t framework_calls = 0;
+  uint64_t sequential_calls = 0;
   for (const Input input : {Input::kClustered, Input::kSf}) {
     const std::vector<double> matrix = InputMatrix(input, kN, 4);
     for (const SchemeKind kind : kPlugSchemes) {
@@ -605,16 +735,21 @@ TEST(PamReferenceTest, RowPrefilterSpendsTheSequentialLoopsCalls) {
       MatrixStack framework(matrix, kN, kind);
       ExpectSameClustering(
           PamCluster(&framework.resolver, {.num_medoids = kK}), want);
-      EXPECT_EQ(framework.resolver.stats().oracle_calls,
+      EXPECT_LE(framework.resolver.stats().oracle_calls,
                 sequential.resolver.stats().oracle_calls);
+      framework_calls += framework.resolver.stats().oracle_calls;
+      sequential_calls += sequential.resolver.stats().oracle_calls;
     }
   }
+  EXPECT_LT(framework_calls, sequential_calls);
 }
 
-TEST(ClaransReferenceTest, RowPrefilterSpendsTheSequentialLoopsCalls) {
+TEST(ClaransReferenceTest, RowBoundsSpendAtMostTheSequentialLoopsCalls) {
   constexpr ObjectId kN = 48;
   const ClaransOptions options{.num_medoids = 5, .num_local = 2,
                                .max_neighbor = 48, .seed = 17};
+  uint64_t framework_calls = 0;
+  uint64_t sequential_calls = 0;
   for (const Input input : {Input::kClustered, Input::kSf}) {
     const std::vector<double> matrix = InputMatrix(input, kN, 5);
     for (const SchemeKind kind : kPlugSchemes) {
@@ -626,10 +761,13 @@ TEST(ClaransReferenceTest, RowPrefilterSpendsTheSequentialLoopsCalls) {
       MatrixStack framework(matrix, kN, kind);
       ExpectSameClustering(ClaransCluster(&framework.resolver, options),
                            want);
-      EXPECT_EQ(framework.resolver.stats().oracle_calls,
+      EXPECT_LE(framework.resolver.stats().oracle_calls,
                 sequential.resolver.stats().oracle_calls);
+      framework_calls += framework.resolver.stats().oracle_calls;
+      sequential_calls += sequential.resolver.stats().oracle_calls;
     }
   }
+  EXPECT_LT(framework_calls, sequential_calls);
 }
 
 // Records the ordered pair of every comparison the resolver is asked.
@@ -671,6 +809,28 @@ TEST(PamReferenceTest, OneSwapRoundComparesEachCandidateRowOnce) {
     std::sort(swap.begin(), swap.end());
     EXPECT_TRUE(std::adjacent_find(swap.begin(), swap.end()) == swap.end())
         << "a (j, h) pair was compared twice in one round";
+  }
+}
+
+TEST(PamReferenceTest, OneSwapRoundBoundsEachCandidateRowOnce) {
+  // A round bounds one row per candidate h, over its pairs not yet resolved
+  // (at most n - 1), and the comparisons after it query the scheme only for
+  // pairs that row left undecided. On this input a round stays within
+  // (n - k)(n - 1) bound queries under every scheme; bounding each row twice
+  // exceeds that under every scheme.
+  constexpr ObjectId kN = 48;
+  constexpr uint32_t kK = 5;
+  const std::vector<double> matrix = InputMatrix(Input::kSf, kN, 6);
+  for (const SchemeKind kind : kPlugSchemes) {
+    SCOPED_TRACE(SchemeKindName(kind));
+    MatrixStack build_only(matrix, kN, kind);
+    PamCluster(&build_only.resolver, {.num_medoids = kK, .max_swap_rounds = 0});
+    MatrixStack one_round(matrix, kN, kind);
+    PamCluster(&one_round.resolver, {.num_medoids = kK, .max_swap_rounds = 1});
+    const uint64_t round_queries = one_round.resolver.stats().bound_queries -
+                                   build_only.resolver.stats().bound_queries;
+    EXPECT_GT(round_queries, 0u);
+    EXPECT_LE(round_queries, uint64_t{kN - kK} * (kN - 1));
   }
 }
 
