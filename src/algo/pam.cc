@@ -47,7 +47,7 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
                          std::span<const double> cap,
                          std::span<const double> base) {
   const size_t m = targets.size();
-  std::vector<Interval> row(m);
+  std::vector<Interval> row(resolver->num_objects());  // indexed by object
   std::vector<double> lower(m);
   std::vector<double> term(m);
   std::vector<double> width(m);
@@ -59,7 +59,8 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
     double sum = 0.0;
     double magnitude = 0.0;
     for (size_t u = 0; u < m; ++u) {
-      lower[u] = TermLowerBound(row[u], cap[targets[u]], base[targets[u]]);
+      const ObjectId j = targets[u];
+      lower[u] = TermLowerBound(row[j], cap[j], base[j]);
       sum += lower[u];
       magnitude += std::abs(lower[u]);
     }
@@ -97,11 +98,11 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
       const ObjectId j = targets[u];
       if (resolver->Known(c, j)) {
         term[u] = std::min(resolver->Distance(c, j), cap[j]) - base[j];
-      } else if (!Bounder::DecideLessThanFrom(row[u], cap[j]).value_or(true)) {
+      } else if (!Bounder::DecideLessThanFrom(row[j], cap[j]).value_or(true)) {
         term[u] = cap[j] - base[j];  // the row proves d(c, j) >= cap
       } else {
         term[u] = lower[u];
-        width[u] = std::min(row[u].hi, cap[j]) - base[j] - lower[u];
+        width[u] = std::min(row[j].hi, cap[j]) - base[j] - lower[u];
         undecided.push_back(u);
       }
       bound += term[u];
@@ -118,7 +119,7 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
       // row proves it.
       const bool below =
           cap[j] == kInfDistance ||
-          Bounder::DecideLessThanFrom(row[u], cap[j]).value_or(false) ||
+          Bounder::DecideLessThanFrom(row[j], cap[j]).value_or(false) ||
           resolver->LessThan(c, j, cap[j]);
       term[u] = below ? resolver->Distance(c, j) - base[j] : cap[j] - base[j];
       const double correction = term[u] - lower[u];

@@ -58,18 +58,10 @@ std::vector<KnnNeighbor> internal::KnnSearch(BoundedResolver* resolver,
   resolver->BoundsFrom(query, targets, bounds);
 
   // U_k, the k-th smallest upper bound in the row, by insertion into k
-  // sorted slots.
-  std::vector<double> upper(k, kInfDistance);
-  for (ObjectId v = 0; v < n; ++v) {
-    const double hi = bounds[v].hi;
-    if (v == query || !(hi < upper.back())) continue;
-    size_t s = k - 1;
-    for (; s > 0 && upper[s - 1] > hi; --s) upper[s] = upper[s - 1];
-    upper[s] = hi;
-  }
-  // Candidate horizon H: only candidates with lb <= H enter the heap, and
-  // the scan is still the unfiltered one, with the same output,
-  // comparisons, bound queries and oracle calls:
+  // sorted slots, and the candidate horizon H = h(U_k), with
+  // h(u) = r + margin(r) for r = u + margin(u). Only candidates with
+  // lb <= H enter the heap, and the scan is still the unfiltered one, with
+  // the same output, comparisons, bound queries and oracle calls:
   // - The k candidates achieving U_k have lb <= U_k <= H, so they are
   //   popped before any candidate outside the horizon.
   // - Once they are popped, t <= U_k: either they are the k nearest, each
@@ -81,31 +73,62 @@ std::vector<KnnNeighbor> internal::KnnSearch(BoundedResolver* resolver,
   // verbs' decision margin absorbs; so only t <= U_k + margin(U_k) is
   // certain, and H adds the margin once more on top of that. U_k = +inf
   // (say, the first query on an empty graph) filters nothing.
-  const double reach = upper.back() + BoundDecisionMargin(upper.back());
-  const double horizon = reach + BoundDecisionMargin(reach);
+  //
+  // Both come from one pass over the row. The pass collects against the
+  // horizon of the running U_k, then drops from that short list what lies
+  // beyond the final H. The running U_k only falls and h is monotone, so
+  // every running horizon is at least H: the kept candidates are exactly
+  // those with lb <= H, in ascending id order as before.
+  const auto horizon_of = [](double u) {
+    const double reach = u + BoundDecisionMargin(u);
+    return reach + BoundDecisionMargin(reach);
+  };
+  std::vector<double>& upper = scratch->upper;
+  upper.assign(k, kInfDistance);
+  double kth = kInfDistance;
+  double horizon = horizon_of(kth);
   std::vector<KnnCandidate>& candidates = scratch->candidates;
-  candidates.clear();
+  candidates.resize(n);
+  KnnCandidate* const collected = candidates.data();
+  const Interval* const row = bounds.data();
+  size_t size = 0;
   for (ObjectId v = 0; v < n; ++v) {
-    if (v != query && bounds[v].lo <= horizon) {
-      candidates.push_back(KnnCandidate{bounds[v].lo, v});
-    }
+    if (v == query) continue;
+    const Interval b = row[v];
+    // Every candidate is written and only one inside the horizon is kept,
+    // so the pass takes no branch on the horizon.
+    collected[size] = KnnCandidate{b.lo, v};
+    size += b.lo <= horizon ? 1 : 0;
+    if (!(b.hi < kth)) continue;
+    size_t s = k - 1;
+    for (; s > 0 && upper[s - 1] > b.hi; --s) upper[s] = upper[s - 1];
+    upper[s] = b.hi;
+    kth = upper[k - 1];
+    horizon = horizon_of(kth);
   }
-  std::make_heap(candidates.begin(), candidates.end(), CandidateAfter());
-  const auto pop_nearest = [&candidates] {
-    std::pop_heap(candidates.begin(), candidates.end(), CandidateAfter());
-    const KnnCandidate next = candidates.back();
-    candidates.pop_back();
-    return next;
+  const size_t within_running_horizon = size;
+  size = 0;
+  for (size_t x = 0; x < within_running_horizon; ++x) {
+    const KnnCandidate c = collected[x];
+    collected[size] = c;
+    size += c.lower_bound <= horizon ? 1 : 0;
+  }
+  std::make_heap(collected, collected + size, CandidateAfter());
+  const auto pop_nearest = [collected, &size] {
+    std::pop_heap(collected, collected + size, CandidateAfter());
+    return collected[--size];
   };
 
   // The first k candidates are admitted unconditionally: resolve them in
   // one batch.
-  std::vector<IdPair> seeds;
+  std::vector<IdPair>& seeds = scratch->seeds;
+  seeds.clear();
   for (uint32_t c = 0; c < k; ++c) {
     seeds.push_back(IdPair{query, pop_nearest().id});
   }
   resolver->ResolveAll(seeds);
   std::vector<KnnNeighbor> best;
+  best.reserve(k);
   for (const IdPair& p : seeds) {
     best.push_back(KnnNeighbor{p.j, resolver->Distance(query, p.j)});
   }
@@ -115,7 +138,7 @@ std::vector<KnnNeighbor> internal::KnnSearch(BoundedResolver* resolver,
   // every admit. The first candidate whose ordering lower bound already
   // clears t ends it: every later one has a lower bound at least as large,
   // and t only shrinks, so all of them are farther.
-  while (!candidates.empty()) {
+  while (size > 0) {
     const double t = best.front().distance;
     const KnnCandidate next = pop_nearest();
     if (next.lower_bound > t + BoundDecisionMargin(t)) break;

@@ -34,12 +34,15 @@ struct KnnCandidate {
   ObjectId id;
 };
 
-/// The per-query buffers of KnnSearch that grow with n. A k-NN graph build
-/// keeps one across its queries, so no query allocates in proportion to n.
+/// The per-query buffers of KnnSearch. A k-NN graph build keeps one across
+/// its queries, so no query allocates them again.
 struct KnnScratch {
   std::vector<ObjectId> targets;  // 0 .. n-1: the row every query bounds
   std::vector<Interval> bounds;   // the query's row, indexed by object
+  std::vector<double> upper;      // the k smallest upper bounds, ascending
+  // n slots: the candidates inside the horizon, then their heap.
   std::vector<KnnCandidate> candidates;
+  std::vector<IdPair> seeds;      // the k pairs resolved in one batch
 };
 
 /// KnnSearch over caller-owned buffers.

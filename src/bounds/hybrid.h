@@ -40,16 +40,16 @@ class HybridBounder : public Bounder {
     return Intersect(first_->Bounds(i, j), second_->Bounds(i, j));
   }
 
-  /// Each child bounds the whole row once; the rows are intersected pair by
-  /// pair exactly as Bounds() intersects one pair.
+  /// Each child bounds the whole row once, the second into a row of its
+  /// own; the rows are intersected target by target exactly as Bounds()
+  /// intersects one pair. Intersecting a repeated target again changes
+  /// nothing.
   void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
-                  std::span<Interval> out) override {
-    second_row_.resize(targets.size());
-    first_->BoundsFrom(q, targets, out);
+                  std::span<Interval> row) override {
+    second_row_.resize(row.size());
+    first_->BoundsFrom(q, targets, row);
     second_->BoundsFrom(q, targets, second_row_);
-    for (size_t k = 0; k < targets.size(); ++k) {
-      out[k] = Intersect(out[k], second_row_[k]);
-    }
+    for (const ObjectId v : targets) row[v] = Intersect(row[v], second_row_[v]);
   }
 
   void OnEdgeResolved(ObjectId i, ObjectId j, double d) override {

@@ -1,6 +1,7 @@
 #include "bounds/resolver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -231,51 +232,53 @@ Interval BoundedResolver::Bounds(ObjectId i, ObjectId j) {
 }
 
 void BoundedResolver::BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
-                                 std::span<Interval> out) {
-  CHECK_EQ(targets.size(), out.size());
+                                 std::span<Interval> row) {
   const ObjectId n = graph_->num_objects();
   CHECK_LT(q, n);
-  bool ascending = true;
-  for (size_t k = 0; k < targets.size(); ++k) {
-    CHECK_LT(targets[k], n);
-    ascending = ascending && (k == 0 || targets[k - 1] <= targets[k]);
+  CHECK_EQ(row.size(), n);
+  if (row_targets_.size() < targets.size()) {
+    row_targets_.resize(targets.size());
   }
-  // Cached pairs: one merge with q's id-sorted column when the targets
-  // ascend, one lookup per target otherwise.
+  ObjectId* const listed = row_targets_.data();
+  size_t unresolved = 0;
+  // Cached pairs: a merge with q's id-sorted column while the targets
+  // ascend, one lookup per target from the first descent on. q's column
+  // never holds q.
   const PartialDistanceGraph::AdjacencyColumns column =
       graph_->AdjacencyView(q);
+  const std::span<const ObjectId> ids = column.ids;
   size_t c = 0;
-  row_targets_.clear();
-  row_slots_.clear();
-  for (size_t k = 0; k < targets.size(); ++k) {
+  size_t k = 0;
+  for (ObjectId previous = 0; k < targets.size(); ++k) {
     const ObjectId v = targets[k];
-    std::optional<double> cached;
-    if (ascending) {
-      while (c < column.ids.size() && column.ids[c] < v) ++c;
-      if (c < column.ids.size() && column.ids[c] == v) {
-        cached = column.distances[c];
-      }
+    CHECK_LT(v, n);
+    if (v < previous) break;
+    previous = v;
+    while (c < ids.size() && ids[c] < v) ++c;
+    if (c < ids.size() && ids[c] == v) {
+      row[v] = Interval::Exact(column.distances[c]);
+    } else if (v == q) {
+      row[v] = Interval::Exact(0.0);
     } else {
-      cached = graph_->Get(q, v);
+      listed[unresolved++] = v;
     }
+  }
+  for (; k < targets.size(); ++k) {
+    const ObjectId v = targets[k];
+    CHECK_LT(v, n);
     if (v == q) {
-      out[k] = Interval::Exact(0.0);
-    } else if (cached.has_value()) {
-      out[k] = Interval::Exact(*cached);
+      row[v] = Interval::Exact(0.0);
+    } else if (const std::optional<double> cached = graph_->Get(q, v)) {
+      row[v] = Interval::Exact(*cached);
     } else {
-      row_targets_.push_back(v);
-      row_slots_.push_back(k);
+      listed[unresolved++] = v;
     }
   }
-  if (row_targets_.empty()) return;
-  row_bounds_.resize(row_targets_.size());
-  stats_.bound_queries += row_targets_.size();
+  if (unresolved == 0) return;
+  stats_.bound_queries += unresolved;
   Stopwatch watch;
-  bounder_->BoundsFrom(q, row_targets_, row_bounds_);
+  bounder_->BoundsFrom(q, std::span(listed, unresolved), row);
   stats_.bounder_seconds += watch.ElapsedSeconds();
-  for (size_t s = 0; s < row_slots_.size(); ++s) {
-    out[row_slots_[s]] = row_bounds_[s];
-  }
 }
 
 std::optional<bool> BoundedResolver::DecideKnown(ObjectId i, ObjectId j,
@@ -407,19 +410,29 @@ bool BoundedResolver::ProvenGreaterOrEqual(ObjectId i, ObjectId j, double t) {
 void BoundedResolver::ResolveAll(std::span<const IdPair> pairs) {
   // Dedup sweep: keep the first occurrence of each unresolved unordered
   // pair, so a pair that appears twice (or as both (i,j) and (j,i)) costs
-  // one oracle call, never two.
-  std::vector<IdPair> unique;
-  unique.reserve(pairs.size());
-  std::unordered_set<EdgeKey, EdgeKeyHash> seen;
+  // one oracle call, never two. The pairs seen so far sit in an
+  // open-addressed table of packed keys, at most half full; an ordered
+  // pair's packed key is never all ones, which marks a free slot.
+  constexpr uint64_t kFree = ~uint64_t{0};
+  const size_t mask = std::bit_ceil(2 * pairs.size()) - 1;
+  seen_.assign(mask + 1, kFree);
+  unique_.clear();
   for (const IdPair& p : pairs) {
     CHECK_LT(p.i, graph_->num_objects());
     CHECK_LT(p.j, graph_->num_objects());
     if (p.i == p.j) continue;
     if (graph_->Has(p.i, p.j)) continue;
-    if (!seen.insert(EdgeKey(p.i, p.j)).second) continue;
-    unique.push_back(p);
+    const EdgeKey key(p.i, p.j);
+    size_t slot = EdgeKeyHash()(key) & mask;
+    while (seen_[slot] != kFree && seen_[slot] != key.packed()) {
+      slot = (slot + 1) & mask;
+    }
+    if (seen_[slot] == key.packed()) continue;
+    seen_[slot] = key.packed();
+    unique_.push_back(p);
   }
-  if (unique.empty()) return;
+  if (unique_.empty()) return;
+  const std::span<const IdPair> unique = unique_;
   // The session-side root of the causal chain: resolve -> (oracle per-pair
   // or coalesce_submit -> oracle_rtt) nest under this span on this thread.
   ScopedSpan resolve_span(telemetry_, "resolve", unique.size());
@@ -445,11 +458,11 @@ void BoundedResolver::ResolveAll(std::span<const IdPair> pairs) {
 
   // Batch transport: one oracle round-trip, one bulk insert, one bulk
   // bounder notification.
-  std::vector<double> distances(unique.size());
-  std::vector<Status> statuses(unique.size());
+  distances_.assign(unique.size(), 0.0);
+  statuses_.assign(unique.size(), Status::OK());
   Stopwatch oracle_watch;
   const Status batch_status =
-      oracle_->TryBatchDistance(unique, distances, statuses);
+      oracle_->TryBatchDistance(unique, distances_, statuses_);
   const double oracle_elapsed = oracle_watch.ElapsedSeconds();
   stats_.oracle_seconds += oracle_elapsed;
   stats_.batch_oracle_seconds += oracle_elapsed;
@@ -458,7 +471,7 @@ void BoundedResolver::ResolveAll(std::span<const IdPair> pairs) {
     // a later re-run pays for them again. Charging a failure per failed
     // pair (not per batch) keeps the counter comparable across transports.
     uint64_t failed = 0;
-    for (const Status& s : statuses) {
+    for (const Status& s : statuses_) {
       if (!s.ok()) ++failed;
     }
     FailTransport(batch_status, failed);
@@ -478,16 +491,18 @@ void BoundedResolver::ResolveAll(std::span<const IdPair> pairs) {
     telemetry_->Emit(event);
   }
 
-  std::vector<ResolvedEdge> edges(unique.size());
+  edges_.resize(unique.size());
   for (size_t k = 0; k < unique.size(); ++k) {
-    edges[k] = ResolvedEdge{unique[k].i, unique[k].j, distances[k]};
+    edges_[k] = ResolvedEdge{unique[k].i, unique[k].j, distances_[k]};
   }
-  graph_->InsertEdges(edges);
+  graph_->InsertEdges(edges_);
   Stopwatch bounder_watch;
-  bounder_->OnEdgesResolved(edges);
+  bounder_->OnEdgesResolved(edges_);
   stats_.bounder_seconds += bounder_watch.ElapsedSeconds();
   if (weak_ != nullptr) {
-    for (const ResolvedEdge& e : edges) NotifyWeakResolved(e.u, e.v, e.weight);
+    for (const ResolvedEdge& e : edges_) {
+      NotifyWeakResolved(e.u, e.v, e.weight);
+    }
   }
 }
 

@@ -123,15 +123,18 @@ class BoundedResolver {
   /// Current bound interval: exact for resolved pairs, else the scheme's.
   Interval Bounds(ObjectId i, ObjectId j);
 
-  /// One-to-many Bounds: out[k] is bit for bit Bounds(q, targets[k]) —
-  /// Exact(0) for targets[k] == q, Exact(d) for resolved pairs — with every
-  /// remaining target bounded by the scheme in one Bounder::BoundsFrom
-  /// call. Counts one bound query per unresolved target, as the per-pair
-  /// loop would. `out` has the length of `targets`. CHECKs q and every
-  /// target. Targets in ascending order find their cached pairs in one
-  /// merge with q's adjacency column, others by one lookup each.
+  /// One-to-many Bounds over a row indexed by object id: row[v] is bit for
+  /// bit Bounds(q, v) for every v in `targets` — Exact(0) for q itself,
+  /// Exact(d) for resolved pairs — and entries outside `targets` are left
+  /// untouched. One pass over the targets CHECKs each id, answers q and the
+  /// cached pairs and lists the rest, which the scheme then writes straight
+  /// into the row in one Bounder::BoundsFrom call. Counts one bound query
+  /// per unresolved occurrence, repeats included, as the per-pair loop
+  /// would. `row` has num_objects() entries. Cached pairs come from one
+  /// merge with q's adjacency column while the targets ascend, and from one
+  /// lookup each after that.
   void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
-                  std::span<Interval> out);
+                  std::span<Interval> row);
 
   /// Truth of `dist(i, j) < t`, resolving the pair only when the scheme
   /// cannot decide (the paper's re-authored IF statement against a known
@@ -348,11 +351,17 @@ class BoundedResolver {
   ResolutionPolicy policy_;         // default = exact mode
   uint64_t budget_spent_ = 0;
   bool batch_transport_ = true;
-  // BoundsFrom scratch: the unresolved targets, their slots in the caller's
-  // row, and the scheme's intervals for them.
+  // BoundsFrom scratch: the unresolved targets. Only its first entries are
+  // live; the vector only grows.
   std::vector<ObjectId> row_targets_;
-  std::vector<size_t> row_slots_;
-  std::vector<Interval> row_bounds_;
+  // ResolveAll scratch: the open-addressed table of packed pair keys its
+  // dedup probes, the unique unresolved pairs, and the batch transport's
+  // replies and edges.
+  std::vector<uint64_t> seen_;
+  std::vector<IdPair> unique_;
+  std::vector<double> distances_;
+  std::vector<Status> statuses_;
+  std::vector<ResolvedEdge> edges_;
   int fallible_depth_ = 0;
   // Picks the calls the per-pair timers (bounder_seconds, and
   // oracle_seconds on the scalar path) read the clock on.

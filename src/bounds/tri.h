@@ -29,19 +29,20 @@ namespace metricprox {
 ///
 /// A whole row (q, targets) is bounded in one pass by BoundsFrom, with one
 /// of two strategies from core/simd.h, bit-identical to each other and to
-/// the per-pair merge:
+/// the per-pair merge; both write row[v], indexed by object id:
 ///  * scatter walks every neighbor c of q and c's column once, reducing
-///    each triangle into per-target accumulators — Σ_{c ∈ N(q)} deg c
+///    each triangle into per-object accumulators — Σ_{c ∈ N(q)} deg c
 ///    entries however many targets there are;
 ///  * gather expands q's column into a dense row and walks each target's
 ///    column against it — Σ_v deg v entries.
-/// Each call takes the one with fewer entries, counted from Degree(): a
-/// sparse graph bounded against every object (kNN candidate ordering)
-/// scatters, a dense graph bounded against a few unresolved targets (a
-/// PAM swap candidate's row) gathers. There is no option to pin either.
-/// DecideBatch routes a batch whose pairs all share one endpoint (Prim's
-/// key update) through BoundsFrom; any other batch takes the per-pair
-/// loop.
+/// Each call takes the one with fewer entries, counted from Degree(); the
+/// count over the targets stops once it reaches the scatter side, which
+/// picks the same strategy as counting them all. A sparse graph bounded
+/// against every object (kNN candidate ordering) scatters, a dense graph
+/// bounded against a few unresolved targets (a PAM swap candidate's row)
+/// gathers. There is no option to pin either. DecideBatch routes a batch
+/// whose pairs all share one endpoint (Prim's key update) through
+/// BoundsFrom; any other batch takes the per-pair loop.
 ///
 /// The paper's Characteristic 1 admits *relaxed* triangle inequalities:
 ///     dist(i, j) <= rho * (dist(i, c) + dist(c, j)),  rho >= 1
@@ -83,32 +84,36 @@ class TriBounder : public Bounder {
   /// One pass over the row (q, targets): scatter or gather, whichever walks
   /// fewer column entries (see the class comment).
   void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
-                  std::span<Interval> out) override {
+                  std::span<Interval> row) override {
     const simd::TriColumn source = Column(q);
     size_t scatter_cost = 0;
     for (size_t x = 0; x < source.size; ++x) {
       scatter_cost += graph_->Degree(source.ids[x]);
     }
     size_t gather_cost = 0;
-    for (const ObjectId v : targets) gather_cost += graph_->Degree(v);
+    for (const ObjectId v : targets) {
+      if (gather_cost >= scatter_cost) break;
+      gather_cost += graph_->Degree(v);
+    }
     columns_.clear();
     if (scatter_cost <= gather_cost) {
       for (size_t x = 0; x < source.size; ++x) {
         columns_.push_back(Column(source.ids[x]));
       }
       simd::TriScatterBounds(source, columns_, targets, rho_,
-                             graph_->num_objects(), &scratch_, out);
+                             graph_->num_objects(), &scratch_, row);
     } else {
       for (const ObjectId v : targets) columns_.push_back(Column(v));
-      simd::TriGatherBounds(source, columns_, rho_, graph_->num_objects(),
-                            &scratch_, out);
+      simd::TriGatherBounds(source, columns_, targets, rho_,
+                            graph_->num_objects(), &scratch_, row);
     }
   }
 
   /// A batch whose pairs all share one endpoint is one BoundsFrom row plus
-  /// the base DecideLessThan rule per pair (Tri's interval is symmetric in
-  /// its two endpoints, so the shared one may sit on either side); any
-  /// other batch takes the base per-pair loop.
+  /// the base DecideLessThan rule per pair, read by the other endpoint
+  /// (Tri's interval is symmetric in its two endpoints, so the shared one
+  /// may sit on either side); any other batch takes the base per-pair
+  /// loop.
   void DecideBatch(std::span<const IdPair> pairs,
                    std::span<const double> thresholds,
                    std::span<std::optional<bool>> out) override {
@@ -121,10 +126,10 @@ class TriBounder : public Bounder {
     for (size_t k = 0; k < pairs.size(); ++k) {
       others_[k] = pairs[k].i == shared ? pairs[k].j : pairs[k].i;
     }
-    bounds_.resize(pairs.size());
-    BoundsFrom(shared, others_, bounds_);
+    row_.resize(graph_->num_objects());
+    BoundsFrom(shared, others_, row_);
     for (size_t k = 0; k < pairs.size(); ++k) {
-      out[k] = DecideLessThanFrom(bounds_[k], thresholds[k]);
+      out[k] = DecideLessThanFrom(row_[others_[k]], thresholds[k]);
     }
   }
 
@@ -217,7 +222,7 @@ class TriBounder : public Bounder {
   simd::TriScratch scratch_;
   std::vector<simd::TriColumn> columns_;
   std::vector<ObjectId> others_;
-  std::vector<Interval> bounds_;
+  std::vector<Interval> row_;
 };
 
 }  // namespace metricprox

@@ -52,8 +52,8 @@ class CertifyingBounder : public Bounder {
     return inner_->Bounds(i, j);
   }
   void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
-                  std::span<Interval> out) override {
-    inner_->BoundsFrom(q, targets, out);
+                  std::span<Interval> row) override {
+    inner_->BoundsFrom(q, targets, row);
   }
   void OnEdgeResolved(ObjectId i, ObjectId j, double d) override {
     inner_->OnEdgeResolved(i, j, d);

@@ -80,17 +80,19 @@ class Bounder {
   /// Non-const because schemes may maintain internal caches.
   virtual Interval Bounds(ObjectId i, ObjectId j) = 0;
 
-  /// One-to-many form of the BOUNDS problem: out[k] = Bounds(q, targets[k])
-  /// for every k. Rows (q, ·) bounded against an unchanged graph are the
-  /// shape of kNN candidate ordering, PAM BUILD and the one-endpoint sweeps
-  /// of Prim and PAM SWAP; a scheme whose per-pair cost has a part shared
-  /// across the row overrides this to pay it once. The caller guarantees of
-  /// Bounds() hold for every target (targets[k] != q, pair unresolved), and
-  /// `out` has the length of `targets`. The default loops Bounds(); overrides
-  /// must be bit-identical to that loop.
+  /// One-to-many form of the BOUNDS problem over a row indexed by object
+  /// id: row[v] = Bounds(q, v) for every v in `targets`. Entries outside
+  /// `targets` are left untouched, and a repeated target is written with
+  /// the same interval again. Rows (q, ·) bounded against an unchanged graph
+  /// are the shape of kNN candidate ordering, PAM BUILD and the one-endpoint
+  /// sweeps of Prim and PAM SWAP; a scheme whose per-pair cost has a part
+  /// shared across the row overrides this to pay it once. The caller
+  /// guarantees of Bounds() hold for every target (v != q, pair
+  /// unresolved), and `row` has an entry for every object. The default
+  /// loops Bounds(); overrides must be bit-identical to that loop.
   virtual void BoundsFrom(ObjectId q, std::span<const ObjectId> targets,
-                          std::span<Interval> out) {
-    for (size_t k = 0; k < targets.size(); ++k) out[k] = Bounds(q, targets[k]);
+                          std::span<Interval> row) {
+    for (const ObjectId v : targets) row[v] = Bounds(q, v);
   }
 
   /// Notification that dist(i, j) = d has been resolved and inserted into
@@ -260,9 +262,9 @@ class NullBounder : public Bounder {
   Interval Bounds(ObjectId, ObjectId) override {
     return Interval::Unbounded();
   }
-  void BoundsFrom(ObjectId, std::span<const ObjectId>,
-                  std::span<Interval> out) override {
-    std::fill(out.begin(), out.end(), Interval::Unbounded());
+  void BoundsFrom(ObjectId, std::span<const ObjectId> targets,
+                  std::span<Interval> row) override {
+    for (const ObjectId v : targets) row[v] = Interval::Unbounded();
   }
   void OnEdgeResolved(ObjectId, ObjectId, double) override {}
 };

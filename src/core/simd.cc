@@ -503,19 +503,12 @@ Interval TriMergeBounds(const ObjectId* ids_a, const double* dist_a, size_t na,
 void TriScatterBounds(TriColumn q, std::span<const TriColumn> neighbor_columns,
                       std::span<const ObjectId> targets, double rho,
                       size_t num_objects, TriScratch* scratch,
-                      std::span<Interval> out) {
+                      std::span<Interval> row) {
   DCHECK_EQ(neighbor_columns.size(), q.size);
-  DCHECK_EQ(targets.size(), out.size());
-  std::vector<double>& lb = scratch->lb;
-  std::vector<double>& ub = scratch->ub;
-  if (lb.size() < num_objects) {
-    lb.resize(num_objects, 0.0);
-    ub.resize(num_objects, kInfDistance);
-  }
-  for (const ObjectId v : targets) {
-    lb[v] = 0.0;
-    ub[v] = kInfDistance;
-  }
+  DCHECK_EQ(row.size(), num_objects);
+  std::vector<Interval>& acc = scratch->acc;
+  if (acc.size() < num_objects) acc.resize(num_objects);
+  for (const ObjectId v : targets) acc[v] = Interval::Unbounded();
   // Every entry of every walked column is reduced, target or not: a
   // membership test would cost a branch per entry, a non-target's
   // accumulator is never read, and a target's is reset above on every
@@ -531,29 +524,32 @@ void TriScatterBounds(TriColumn q, std::span<const TriColumn> neighbor_columns,
       const double gap_ij = a * inv_rho - b;
       const double gap_ji = b * inv_rho - a;
       const double gap = gap_ij > gap_ji ? gap_ij : gap_ji;
-      lb[v] = gap > lb[v] ? gap : lb[v];
+      Interval& bound = acc[v];
+      bound.lo = gap > bound.lo ? gap : bound.lo;
       const double sum = rho * (a + b);
-      ub[v] = sum < ub[v] ? sum : ub[v];
+      bound.hi = sum < bound.hi ? sum : bound.hi;
     }
   }
-  for (size_t k = 0; k < targets.size(); ++k) {
-    out[k] = FinishInterval(lb[targets[k]], ub[targets[k]]);
+  for (const ObjectId v : targets) {
+    row[v] = FinishInterval(acc[v].lo, acc[v].hi);
   }
 }
 
 void TriGatherBounds(TriColumn q, std::span<const TriColumn> target_columns,
-                     double rho, size_t num_objects, TriScratch* scratch,
-                     std::span<Interval> out) {
-  DCHECK_EQ(target_columns.size(), out.size());
-  std::vector<double>& row = scratch->row;
-  std::vector<uint8_t>& in_row = scratch->in_row;
-  if (row.size() < num_objects) {
-    row.resize(num_objects, 0.0);
-    in_row.resize(num_objects, 0);
+                     std::span<const ObjectId> targets, double rho,
+                     size_t num_objects, TriScratch* scratch,
+                     std::span<Interval> row) {
+  DCHECK_EQ(target_columns.size(), targets.size());
+  DCHECK_EQ(row.size(), num_objects);
+  std::vector<double>& column = scratch->column;
+  std::vector<uint8_t>& in_column = scratch->in_column;
+  if (column.size() < num_objects) {
+    column.resize(num_objects, 0.0);
+    in_column.resize(num_objects, 0);
   }
   for (size_t x = 0; x < q.size; ++x) {
-    row[q.ids[x]] = q.distances[x];
-    in_row[q.ids[x]] = 1;
+    column[q.ids[x]] = q.distances[x];
+    in_column[q.ids[x]] = 1;
   }
   std::vector<double>& di = scratch->di;
   std::vector<double>& dj = scratch->dj;
@@ -570,13 +566,13 @@ void TriGatherBounds(TriColumn q, std::span<const TriColumn> target_columns,
     size_t m = 0;
     for (size_t y = 0; y < v.size; ++y) {
       const ObjectId c = v.ids[y];
-      di[m] = row[c];
+      di[m] = column[c];
       dj[m] = v.distances[y];
-      m += in_row[c];
+      m += in_column[c];
     }
-    out[k] = tri_reduce(di.data(), dj.data(), m, rho, inv_rho);
+    row[targets[k]] = tri_reduce(di.data(), dj.data(), m, rho, inv_rho);
   }
-  for (size_t x = 0; x < q.size; ++x) in_row[q.ids[x]] = 0;
+  for (size_t x = 0; x < q.size; ++x) in_column[q.ids[x]] = 0;
 }
 
 }  // namespace simd

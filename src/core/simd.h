@@ -116,12 +116,11 @@ struct TriScratch {
   std::vector<double> di;
   std::vector<double> dj;
   /// TriScatterBounds' per-object accumulators, indexed by object id.
-  std::vector<double> lb;
-  std::vector<double> ub;
+  std::vector<Interval> acc;
   /// TriGatherBounds' dense copy of the source's column, indexed by object
-  /// id, with in_row[c] = 1 exactly for the source's neighbors.
-  std::vector<double> row;
-  std::vector<uint8_t> in_row;
+  /// id, with in_column[c] = 1 exactly for the source's neighbors.
+  std::vector<double> column;
+  std::vector<uint8_t> in_column;
 };
 
 /// Convenience wrapper for the Tri bounder: merge-intersects two adjacency
@@ -144,11 +143,14 @@ struct TriColumn {
 };
 
 /// The two one-to-many strategies behind TriBounder::BoundsFrom: for a
-/// source column `q` and every target v, out[k] is exactly what
-/// TriMergeBounds(q, column of v) returns on any tier. Both visit each
-/// target's common neighbors with q in ascending id order and reduce them
-/// with the reference rule, so the choice between them is a cost decision
-/// only. Object ids index scratch arrays of `num_objects` entries.
+/// source column `q` and every target v, row[v] is exactly what
+/// TriMergeBounds(q, column of v) returns on any tier; entries of `row`
+/// outside the targets are left untouched, and a repeated target is
+/// written twice with the same interval. Both visit each target's common
+/// neighbors with q in ascending id order and reduce them with the
+/// reference rule, so the choice between them is a cost decision only.
+/// Object ids index `row` and the scratch arrays, all of `num_objects`
+/// entries.
 ///
 /// Scatter walks each neighbor c of q and c's own column once,
 /// max/min-reducing every triangle (q, c, v) into per-object accumulators:
@@ -157,15 +159,16 @@ struct TriColumn {
 void TriScatterBounds(TriColumn q, std::span<const TriColumn> neighbor_columns,
                       std::span<const ObjectId> targets, double rho,
                       size_t num_objects, TriScratch* scratch,
-                      std::span<Interval> out);
+                      std::span<Interval> row);
 
-/// Gather expands q's column into a dense row once, then walks each target's
+/// Gather expands q's column into a dense one once, then walks each target's
 /// column against it without branching and hands the matched sides to the
 /// active tri_reduce kernel: O(deg q + Σ_v deg v). `target_columns[k]` is
-/// the column of the k-th target.
+/// the column of targets[k].
 void TriGatherBounds(TriColumn q, std::span<const TriColumn> target_columns,
-                     double rho, size_t num_objects, TriScratch* scratch,
-                     std::span<Interval> out);
+                     std::span<const ObjectId> targets, double rho,
+                     size_t num_objects, TriScratch* scratch,
+                     std::span<Interval> row);
 
 }  // namespace simd
 }  // namespace metricprox

@@ -3,6 +3,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -141,10 +142,13 @@ TEST_P(BounderPropertyTest, BoundsAlwaysContainTrueDistance) {
   }
 }
 
-// The one-to-many verb is the per-pair loop, bit for bit: through the
-// resolver (q itself and resolved targets included, repeats allowed, in
-// ascending or any order) every interval matches Bounds(), and
-// bound_queries advances by the same count.
+// The one-to-many verb is the per-pair loop, bit for bit, over a row
+// indexed by object id: through the resolver, every target's entry matches
+// Bounds() and every other entry keeps its sentinel. The rows are the full
+// one, an ascending subset with repeats (BUILD 2..k's shape) and, for every
+// q, an unordered one holding q itself and q's cached pairs, each twice.
+// bound_queries advances by one per unresolved occurrence, as the per-pair
+// loop's does.
 TEST_P(BounderPropertyTest, BoundsFromMatchesPerPairBounds) {
   const auto [kind, seed] = GetParam();
   const ObjectId n = 24;
@@ -157,36 +161,52 @@ TEST_P(BounderPropertyTest, BoundsFromMatchesPerPairBounds) {
 
   std::vector<ObjectId> everyone(n);
   std::iota(everyone.begin(), everyone.end(), ObjectId{0});
-  const std::vector<ObjectId> subset = {5, 1, 17, 1, 23, 0, 12};
-  // Ascending rows take the merged cache pass, repeats included.
   const std::vector<ObjectId> ascending = {0, 1, 1, 12, 17, 17, 23};
+  const Interval sentinel = Interval::Exact(-1.0);
+  const auto bits_equal = [](const Interval& a, const Interval& b) {
+    return std::bit_cast<uint64_t>(a.lo) == std::bit_cast<uint64_t>(b.lo) &&
+           std::bit_cast<uint64_t>(a.hi) == std::bit_cast<uint64_t>(b.hi);
+  };
   const ResolverStats& stats = stack.resolver->stats();
+  size_t cached_targets = 0;
   for (ObjectId q = 0; q < n; ++q) {
-    const std::vector<ObjectId>* const rows[] = {&everyone, &subset,
-                                                 &ascending};
+    // q's cached pairs ascend, so the merge answers them; the descent to 0
+    // at the latest hands their repeats to the lookups.
+    const std::span<const ObjectId> cached = stack.graph->AdjacencyView(q).ids;
+    std::vector<ObjectId> unordered(cached.begin(), cached.end());
+    for (const ObjectId v : {q, n - 1, ObjectId{0}, ObjectId{12}, q}) {
+      unordered.push_back(v);
+    }
+    unordered.insert(unordered.end(), cached.begin(), cached.end());
+    unordered.push_back(5);
+    cached_targets += 2 * cached.size();
+    const std::vector<ObjectId>* const rows[] = {&everyone, &ascending,
+                                                 &unordered};
     for (const std::vector<ObjectId>* targets : rows) {
-      const uint64_t before = stats.bound_queries;
-      std::vector<Interval> want(targets->size());
-      for (size_t k = 0; k < targets->size(); ++k) {
-        want[k] = stack.resolver->Bounds(q, (*targets)[k]);
+      std::vector<bool> in_targets(n, false);
+      size_t unresolved = 0;
+      for (const ObjectId v : *targets) {
+        in_targets[v] = true;
+        if (!stack.resolver->Known(q, v)) ++unresolved;
       }
+      const uint64_t before = stats.bound_queries;
+      std::vector<Interval> want(n);
+      for (const ObjectId v : *targets) want[v] = stack.resolver->Bounds(q, v);
       const uint64_t per_pair = stats.bound_queries - before;
-      std::vector<Interval> got(targets->size());
-      stack.resolver->BoundsFrom(q, *targets, got);
-      EXPECT_EQ(stats.bound_queries - before - per_pair, per_pair)
+      EXPECT_EQ(per_pair, unresolved);
+      std::vector<Interval> row(n, sentinel);
+      stack.resolver->BoundsFrom(q, *targets, row);
+      EXPECT_EQ(stats.bound_queries - before - per_pair, unresolved)
           << SchemeKindName(kind) << " q=" << q;
-      for (size_t k = 0; k < targets->size(); ++k) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(got[k].lo),
-                  std::bit_cast<uint64_t>(want[k].lo))
-            << SchemeKindName(kind) << " (" << q << "," << (*targets)[k]
-            << ")";
-        EXPECT_EQ(std::bit_cast<uint64_t>(got[k].hi),
-                  std::bit_cast<uint64_t>(want[k].hi))
-            << SchemeKindName(kind) << " (" << q << "," << (*targets)[k]
-            << ")";
+      for (ObjectId v = 0; v < n; ++v) {
+        EXPECT_TRUE(bits_equal(row[v], in_targets[v] ? want[v] : sentinel))
+            << SchemeKindName(kind) << " (" << q << "," << v
+            << ") in targets=" << in_targets[v] << ": [" << row[v].lo << ", "
+            << row[v].hi << "]";
       }
     }
   }
+  EXPECT_GT(cached_targets, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -418,18 +438,16 @@ TEST(HybridBounderTest, BoundsFromIntersectsBothChildren) {
       for (ObjectId v = 0; v < n; ++v) {
         if (v != q && !stack.graph->Has(q, v)) targets.push_back(v);
       }
-      std::vector<Interval> row(targets.size());
+      std::vector<Interval> row(n);
       hybrid.BoundsFrom(q, targets, row);
-      for (size_t k = 0; k < targets.size(); ++k) {
-        const Interval want = hybrid.Bounds(q, targets[k]);
-        EXPECT_EQ(std::bit_cast<uint64_t>(row[k].lo),
+      for (const ObjectId v : targets) {
+        const Interval want = hybrid.Bounds(q, v);
+        EXPECT_EQ(std::bit_cast<uint64_t>(row[v].lo),
                   std::bit_cast<uint64_t>(want.lo))
-            << "tri_first=" << tri_first << " (" << q << "," << targets[k]
-            << ")";
-        EXPECT_EQ(std::bit_cast<uint64_t>(row[k].hi),
+            << "tri_first=" << tri_first << " (" << q << "," << v << ")";
+        EXPECT_EQ(std::bit_cast<uint64_t>(row[v].hi),
                   std::bit_cast<uint64_t>(want.hi))
-            << "tri_first=" << tri_first << " (" << q << "," << targets[k]
-            << ")";
+            << "tri_first=" << tri_first << " (" << q << "," << v << ")";
       }
     }
   }

@@ -222,9 +222,11 @@ TEST(KernelBitIdentityTest, TriMergeBoundsMatchesLambdaWalkOnEveryTier) {
 
   // The one-to-many strategies, each called directly, from every source —
   // the isolated object and the hub included — over every other object and
-  // over a subset with a repeat. One scratch serves every call, so state a
-  // call leaves behind would surface in a later one.
+  // over a subset with a repeat. Each writes its row by object id and leaves
+  // the entries of non-targets as they were. One scratch serves every call,
+  // so state a call leaves behind would surface in a later one.
   const std::vector<ObjectId> subset = {24, 3, 25, 3, 11, 0};
+  const Interval sentinel = Interval::Exact(-1.0);
   std::vector<simd::TriColumn> columns;
   for (const double rho : {1.0, 2.0}) {
     for (ObjectId q = 0; q < n; ++q) {
@@ -237,32 +239,35 @@ TEST(KernelBitIdentityTest, TriMergeBoundsMatchesLambdaWalkOnEveryTier) {
         const simd::TriColumn source = ColumnOf(graph, q);
         for (const simd::Tier tier : SupportedTiers()) {
           simd::SetTier(tier);
-          std::vector<Interval> scattered(targets->size());
+          std::vector<Interval> scattered(n, sentinel);
           columns.clear();
           for (size_t x = 0; x < source.size; ++x) {
             columns.push_back(ColumnOf(graph, source.ids[x]));
           }
           simd::TriScatterBounds(source, columns, *targets, rho, n, &scratch,
                                  scattered);
-          std::vector<Interval> gathered(targets->size());
+          std::vector<Interval> gathered(n, sentinel);
           columns.clear();
           for (const ObjectId v : *targets) {
             columns.push_back(ColumnOf(graph, v));
           }
-          simd::TriGatherBounds(source, columns, rho, n, &scratch, gathered);
-          for (size_t k = 0; k < targets->size(); ++k) {
-            const ObjectId v = (*targets)[k];
-            const Interval want = LambdaWalk(graph, q, v, rho);
-            EXPECT_EQ(scattered[k].lo, want.lo)
+          simd::TriGatherBounds(source, columns, *targets, rho, n, &scratch,
+                                gathered);
+          std::vector<bool> in_targets(n, false);
+          for (const ObjectId v : *targets) in_targets[v] = true;
+          for (ObjectId v = 0; v < n; ++v) {
+            const Interval want =
+                in_targets[v] ? LambdaWalk(graph, q, v, rho) : sentinel;
+            EXPECT_EQ(scattered[v].lo, want.lo)
                 << "scatter " << simd::TierName(tier) << " (" << q << "," << v
                 << ") rho=" << rho;
-            EXPECT_EQ(scattered[k].hi, want.hi)
+            EXPECT_EQ(scattered[v].hi, want.hi)
                 << "scatter " << simd::TierName(tier) << " (" << q << "," << v
                 << ") rho=" << rho;
-            EXPECT_EQ(gathered[k].lo, want.lo)
+            EXPECT_EQ(gathered[v].lo, want.lo)
                 << "gather " << simd::TierName(tier) << " (" << q << "," << v
                 << ") rho=" << rho;
-            EXPECT_EQ(gathered[k].hi, want.hi)
+            EXPECT_EQ(gathered[v].hi, want.hi)
                 << "gather " << simd::TierName(tier) << " (" << q << "," << v
                 << ") rho=" << rho;
           }

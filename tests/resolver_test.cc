@@ -363,14 +363,20 @@ TEST(ResolverBatchTest, OutOfRangeIdsDie) {
   EXPECT_DEATH(stack.resolver->ProvenGreaterOrEqual(1, 6, 0.5), "Check");
   EXPECT_DEATH(stack.resolver->PairLess(0, 1, 2, 6), "Check");
   EXPECT_DEATH(stack.resolver->PairLess(6, 2, 0, 1), "Check");
-  // So does the row verb, for the source and for every target.
-  std::vector<Interval> row(2);
+  // So does the row verb, for the source, for every target and for the
+  // row's length. The row has an entry per object, so the first two die on
+  // the id they name.
+  std::vector<Interval> row(6);
   EXPECT_DEATH(
       stack.resolver->BoundsFrom(6, std::vector<ObjectId>{0, 1}, row),
-      "Check");
+      "Check failed: q < n \\(6 vs 6\\)");
   EXPECT_DEATH(
       stack.resolver->BoundsFrom(0, std::vector<ObjectId>{2, 6}, row),
-      "Check");
+      "Check failed: v < n \\(6 vs 6\\)");
+  std::vector<Interval> short_row(2);
+  EXPECT_DEATH(
+      stack.resolver->BoundsFrom(0, std::vector<ObjectId>{1}, short_row),
+      "Check failed: row.size\\(\\) == n \\(2 vs 6\\)");
 }
 
 // Batched comparisons must return ground truth under every scheme — and
