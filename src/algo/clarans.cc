@@ -13,6 +13,7 @@ using medoid_internal::ComputeAssignment;
 using medoid_internal::IsMedoid;
 using medoid_internal::SwapDeltas;
 using medoid_internal::SwapScratch;
+using medoid_internal::UpdateAssignment;
 
 namespace {
 
@@ -56,8 +57,8 @@ ClusteringResult ClaransCluster(BoundedResolver* resolver,
       const uint32_t out = static_cast<uint32_t>(rng() % medoids.size());
       ObjectId h = static_cast<ObjectId>(rng() % n);
       if (IsMedoid(medoids, h)) {
-        // Count the draw but retry; keeps the RNG stream identical between
-        // the plugged and oracle-only runs.
+        // Draw again without counting the draw toward `stale`. The stream
+        // depends on no distance, so plugged and oracle-only runs draw alike.
         continue;
       }
       // Only a strictly negative delta is taken, so a row that proves the
@@ -66,7 +67,7 @@ ClusteringResult ClaransCluster(BoundedResolver* resolver,
                      &scratch, deltas) &&
           deltas[out] < 0.0) {
         medoids[out] = h;
-        table = ComputeAssignment(resolver, medoids);
+        UpdateAssignment(resolver, medoids, out, &table);
         ++accepted;
         stale = 0;
       } else {

@@ -25,10 +25,13 @@ struct ClaransOptions {
 ///
 /// Each step samples a random (medoid, non-medoid) exchange and accepts it
 /// iff its exact total-deviation delta is negative; the delta is evaluated
-/// with the same per-object pruning as PAM's SWAP phase, which is where the
-/// oracle calls are saved. Randomness is fully seeded, and pruning never
-/// changes a delta, so for a fixed seed the search trajectory — and hence
-/// the output — is identical to oracle-only CLARANS.
+/// with the same per-object pruning as PAM's SWAP phase. The assignment of
+/// each restart and its update after each accepted exchange resolve only
+/// the distances that can be among an object's two nearest medoids, as in
+/// PAM. Those are the two places the oracle calls are saved. Randomness is
+/// fully seeded, and pruning never changes a delta or the assignment, so
+/// for a fixed seed the search trajectory — and hence the output — is
+/// identical to oracle-only CLARANS.
 ClusteringResult ClaransCluster(BoundedResolver* resolver,
                                 const ClaransOptions& options);
 

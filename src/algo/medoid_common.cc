@@ -14,42 +14,195 @@ bool IsMedoid(const std::vector<ObjectId>& medoids, ObjectId object) {
   return std::find(medoids.begin(), medoids.end(), object) != medoids.end();
 }
 
+namespace {
+
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+// Folds d = d(j, medoids[m]) into j's entries, keeping (nearest, dn) and
+// (second, ds) the two least of j's medoids under (distance, medoid id);
+// an empty entry (kNoSlot) comes after every medoid.
+void Fold(const std::vector<ObjectId>& medoids, ObjectId j, uint32_t m,
+          double d, AssignmentTable* table) {
+  const auto precedes = [&](double other_d, uint32_t other) {
+    return d < other_d ||
+           (d == other_d && (other == kNoSlot || medoids[m] < medoids[other]));
+  };
+  if (precedes(table->dist_nearest[j], table->nearest[j])) {
+    table->second[j] = table->nearest[j];
+    table->dist_second[j] = table->dist_nearest[j];
+    table->nearest[j] = m;
+    table->dist_nearest[j] = d;
+  } else if (precedes(table->dist_second[j], table->second[j])) {
+    table->second[j] = m;
+    table->dist_second[j] = d;
+  }
+}
+
+// The medoid slots each open object still has to rule on, and the rounds
+// that rule on them. An object asks its slots in order, pending[next, end).
+class TopTwoRounds {
+ public:
+  TopTwoRounds(BoundedResolver* resolver, const std::vector<ObjectId>& medoids,
+               AssignmentTable* table)
+      : resolver_(resolver),
+        medoids_(medoids),
+        table_(table),
+        row_(resolver->num_objects()) {}
+
+  // Assigns j from scratch: folds in its cached medoid distances and queues
+  // the other slots by the lo of one row (j, ·), ties to the smaller slot.
+  void Restart(ObjectId j) {
+    table_->nearest[j] = table_->second[j] = kNoSlot;
+    table_->dist_nearest[j] = table_->dist_second[j] = kInfDistance;
+    const size_t begin = pending_.size();
+    targets_.clear();
+    for (uint32_t slot = 0; slot < medoids_.size(); ++slot) {
+      const ObjectId m = medoids_[slot];
+      if (resolver_->Known(j, m)) {
+        Fold(medoids_, j, slot, resolver_->Distance(j, m), table_);
+      } else {
+        targets_.push_back(m);
+        pending_.push_back({0.0, slot});
+      }
+    }
+    if (targets_.empty()) return;
+    resolver_->BoundsFrom(j, targets_, row_);
+    for (size_t p = begin; p < pending_.size(); ++p) {
+      pending_[p].lo = row_[medoids_[pending_[p].slot]].lo;
+    }
+    std::sort(pending_.begin() + begin, pending_.end(),
+              [](const Pending& a, const Pending& b) {
+                return a.lo < b.lo || (a.lo == b.lo && a.slot < b.slot);
+              });
+    open_.push_back({j, begin, pending_.size()});
+  }
+
+  // Queues slot `out`, the incoming medoid h, for each of `objects` that h
+  // may join the top two of: one row (h, ·) skips h where its lo proves it
+  // farther than the object's second-nearest.
+  void QueueIncoming(std::span<const ObjectId> objects, uint32_t out) {
+    const ObjectId h = medoids_[out];
+    resolver_->BoundsFrom(h, objects, row_);
+    for (const ObjectId j : objects) {
+      const double ds = table_->dist_second[j];
+      if (resolver_->Known(j, h)) {
+        Fold(medoids_, j, out, resolver_->Distance(j, h), table_);
+      } else if (!(row_[j].lo > ds + BoundDecisionMargin(ds))) {
+        pending_.push_back({row_[j].lo, out});
+        open_.push_back({j, pending_.size() - 1, pending_.size()});
+      }
+    }
+  }
+
+  // Runs the rounds until no object is open. Every row was bounded before
+  // the first round, against the graph that round still sees, so only a
+  // later round asks the scheme again.
+  void Run() {
+    for (bool fresh = true; !open_.empty(); fresh = false) {
+      batch_.clear();
+      batch_slots_.clear();
+      size_t still_open = 0;
+      for (Open o : open_) {
+        const ObjectId j = o.object;
+        while (o.next < o.end) {
+          const Pending p = pending_[o.next];
+          const double ds = table_->dist_second[j];
+          if (p.lo > ds + BoundDecisionMargin(ds)) {
+            o.next = o.end;  // the later slots' lo is no smaller
+            break;
+          }
+          ++o.next;
+          const ObjectId m = medoids_[p.slot];
+          if (resolver_->Known(j, m)) {
+            Fold(medoids_, j, p.slot, resolver_->Distance(j, m), table_);
+            continue;
+          }
+          if (!fresh && ds != kInfDistance &&
+              resolver_->ProvenGreaterThan(j, m, ds)) {
+            continue;
+          }
+          batch_.push_back(IdPair{j, m});
+          batch_slots_.push_back(p.slot);
+          break;
+        }
+        if (o.next < o.end) open_[still_open++] = o;
+      }
+      open_.resize(still_open);
+      if (batch_.empty()) continue;
+      resolver_->ResolveAll(batch_);
+      for (size_t b = 0; b < batch_.size(); ++b) {
+        Fold(medoids_, batch_[b].i, batch_slots_[b],
+             resolver_->Distance(batch_[b].i, batch_[b].j), table_);
+      }
+    }
+  }
+
+ private:
+  struct Pending {
+    double lo;
+    uint32_t slot;
+  };
+  struct Open {
+    ObjectId object;
+    size_t next;
+    size_t end;
+  };
+
+  BoundedResolver* const resolver_;
+  const std::vector<ObjectId>& medoids_;
+  AssignmentTable* const table_;
+  std::vector<Interval> row_;  // indexed by object
+  std::vector<ObjectId> targets_;
+  std::vector<Pending> pending_;
+  std::vector<Open> open_;
+  std::vector<IdPair> batch_;
+  std::vector<uint32_t> batch_slots_;
+};
+
+double SumNearest(const AssignmentTable& table) {
+  double total = 0.0;
+  for (const double d : table.dist_nearest) total += d;
+  return total;
+}
+
+}  // namespace
+
 AssignmentTable ComputeAssignment(BoundedResolver* resolver,
                                   const std::vector<ObjectId>& medoids) {
   const ObjectId n = resolver->num_objects();
   CHECK_GE(medoids.size(), 2u) << "second-nearest undefined for k < 2";
   AssignmentTable table;
-  table.nearest.assign(n, 0);
-  table.dist_nearest.assign(n, kInfDistance);
-  table.dist_second.assign(n, kInfDistance);
-
-  // Every object-to-medoid distance is needed, so ship the whole j x m grid
-  // to the oracle in one batch (already-cached pairs cost nothing), then run
-  // the nearest / second-nearest bookkeeping on cache reads.
-  std::vector<IdPair> grid;
-  grid.reserve(static_cast<size_t>(n) * medoids.size());
-  for (ObjectId j = 0; j < n; ++j) {
-    for (const ObjectId m : medoids) {
-      grid.push_back(IdPair{j, m});
-    }
-  }
-  resolver->ResolveAll(grid);
-
-  for (ObjectId j = 0; j < n; ++j) {
-    for (uint32_t m = 0; m < medoids.size(); ++m) {
-      const double d = resolver->Distance(j, medoids[m]);  // 0 for j itself
-      if (d < table.dist_nearest[j] ||
-          (d == table.dist_nearest[j] && medoids[m] < medoids[table.nearest[j]])) {
-        table.dist_second[j] = table.dist_nearest[j];
-        table.dist_nearest[j] = d;
-        table.nearest[j] = m;
-      } else if (d < table.dist_second[j]) {
-        table.dist_second[j] = d;
-      }
-    }
-    table.total_deviation += table.dist_nearest[j];
-  }
+  table.nearest.resize(n);
+  table.second.resize(n);
+  table.dist_nearest.resize(n);
+  table.dist_second.resize(n);
+  TopTwoRounds rounds(resolver, medoids, &table);
+  for (ObjectId j = 0; j < n; ++j) rounds.Restart(j);
+  rounds.Run();
+  table.total_deviation = SumNearest(table);
   return table;
+}
+
+void UpdateAssignment(BoundedResolver* resolver,
+                      const std::vector<ObjectId>& medoids, uint32_t out,
+                      AssignmentTable* table) {
+  const ObjectId n = resolver->num_objects();
+  CHECK(table != nullptr);
+  CHECK_EQ(table->nearest.size(), n);
+  CHECK_LT(out, medoids.size());
+  std::vector<ObjectId> restarted;
+  std::vector<ObjectId> kept;
+  for (ObjectId j = 0; j < n; ++j) {
+    const bool held = table->nearest[j] == out || table->second[j] == out;
+    (held ? restarted : kept).push_back(j);
+  }
+  // The medoid that left was third or later for a kept object, so its two
+  // nearest stand unless the incoming one comes before the second.
+  TopTwoRounds rounds(resolver, medoids, table);
+  rounds.QueueIncoming(kept, out);
+  for (const ObjectId j : restarted) rounds.Restart(j);
+  rounds.Run();
+  table->total_deviation = SumNearest(*table);
 }
 
 double TermLowerBound(const Interval& bounds, double cap, double base) {

@@ -14,38 +14,20 @@
 namespace metricprox {
 
 using medoid_internal::AssignmentTable;
+using medoid_internal::BestFirstArgmin;
 using medoid_internal::ComputeAssignment;
 using medoid_internal::IsMedoid;
-using medoid_internal::SumMargin;
 using medoid_internal::SwapDeltas;
 using medoid_internal::SwapScratch;
-using medoid_internal::TermLowerBound;
+using medoid_internal::UpdateAssignment;
 
-namespace {
+namespace medoid_internal {
 
-// BUILD's argmins in one form (TermLowerBound): the candidate c of least
-// sum over `targets` (ascending ids) of min(d(c, j), cap[j]) - base[j],
-// ties to the smaller id. BUILD 1 passes cap = infinity and base = 0, which
-// makes the sum c's distance sum; BUILD 2..k passes cap = base = dn, which
-// makes it c's negated gain. `cap` and `base` are indexed by object; an
-// object left out of `targets` must add nothing.
-//
-// Candidates are visited best-first, from a min-heap on a lower bound of
-// their objective; a stale key stays a valid bound, since the distances it
-// bounds never change. A popped candidate is re-keyed from a fresh row, then
-// dropped when its key proves it cannot beat the incumbent, pushed back
-// when the key is worse than the next stale one, or else evaluated. The
-// evaluation resolves the row's undecided pairs widest term interval first
-// (the bound gap hi - lo for BUILD 1; for BUILD 2..k the smaller of the gap
-// and the potential dn - lo) and abandons the candidate as soon as its
-// resolved terms plus the bounds of the rest rule it out. A candidate
-// evaluated to the end adds its terms in ascending j, as the textbook loop
-// does, so its rounding and its ties are the textbook's.
 ObjectId BestFirstArgmin(BoundedResolver* resolver,
                          std::span<const ObjectId> candidates,
                          std::span<const ObjectId> targets,
                          std::span<const double> cap,
-                         std::span<const double> base) {
+                         std::span<const double> base, std::span<double> keys) {
   const size_t m = targets.size();
   std::vector<Interval> row(resolver->num_objects());  // indexed by object
   std::vector<double> lower(m);
@@ -77,13 +59,14 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
 
   using Entry = std::pair<double, ObjectId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (const ObjectId c : candidates) heap.emplace(key_of(c), c);
+  for (const ObjectId c : candidates) heap.emplace(keys[c], c);
   while (!heap.empty()) {
     const auto [stale, c] = heap.top();
     // Every later key is at least as large, with a larger id on a tie.
     if (rules_out(stale, c)) break;
     heap.pop();
-    const double key = key_of(c);
+    const double key = std::max(stale, key_of(c));
+    keys[c] = key;
     if (rules_out(key, c)) continue;
     if (!heap.empty() && Entry{key, c} > heap.top()) {
       heap.emplace(key, c);
@@ -111,7 +94,8 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
     std::sort(undecided.begin(), undecided.end(), [&](size_t a, size_t b) {
       return width[a] > width[b] || (width[a] == width[b] && a < b);
     });
-    bool abandoned = rules_out(bound - SumMargin(m, magnitude), c);
+    double proven = bound - SumMargin(m, magnitude);
+    bool abandoned = rules_out(proven, c);
     for (size_t i = 0; i < undecided.size() && !abandoned; ++i) {
       const size_t u = undecided[i];
       const ObjectId j = targets[u];
@@ -125,12 +109,17 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
       const double correction = term[u] - lower[u];
       bound += correction;
       magnitude += std::abs(correction);
-      abandoned = rules_out(bound - SumMargin(m, magnitude), c);
+      proven = bound - SumMargin(m, magnitude);
+      abandoned = rules_out(proven, c);
     }
-    if (abandoned) continue;
+    if (abandoned) {
+      keys[c] = std::max(key, proven);
+      continue;
+    }
 
     double objective = 0.0;
     for (size_t u = 0; u < m; ++u) objective += term[u];
+    keys[c] = std::max(key, objective - SumMargin(m, magnitude));
     if (objective < best_objective ||
         (objective == best_objective && c < best)) {
       best_objective = objective;
@@ -141,7 +130,7 @@ ObjectId BestFirstArgmin(BoundedResolver* resolver,
   return best;
 }
 
-}  // namespace
+}  // namespace medoid_internal
 
 ClusteringResult PamCluster(BoundedResolver* resolver,
                             const PamOptions& options) {
@@ -153,16 +142,19 @@ ClusteringResult PamCluster(BoundedResolver* resolver,
   // ---- BUILD ----
   std::vector<ObjectId> everyone(n);
   std::iota(everyone.begin(), everyone.end(), ObjectId{0});
+  std::vector<double> keys(n, -kInfDistance);
   std::vector<ObjectId> medoids;
   medoids.reserve(options.num_medoids);
   medoids.push_back(BestFirstArgmin(resolver, everyone, everyone,
                                     std::vector<double>(n, kInfDistance),
-                                    std::vector<double>(n, 0.0)));
+                                    std::vector<double>(n, 0.0), keys));
 
   std::vector<double> dn(n);
   for (ObjectId j = 0; j < n; ++j) {
     dn[j] = resolver->Distance(medoids[0], j);
   }
+  // BUILD 1's keys bound the distance sum, not a gain: BUILD 2 keys afresh.
+  std::fill(keys.begin(), keys.end(), -kInfDistance);
   std::vector<ObjectId> candidates;
   std::vector<ObjectId> unserved;
   while (medoids.size() < options.num_medoids) {
@@ -174,12 +166,13 @@ ClusteringResult PamCluster(BoundedResolver* resolver,
       if (dn[j] > 0.0) unserved.push_back(j);
     }
     const ObjectId next =
-        BestFirstArgmin(resolver, candidates, unserved, dn, dn);
+        BestFirstArgmin(resolver, candidates, unserved, dn, dn, keys);
     medoids.push_back(next);
+    // `next` was evaluated to the end against cap = dn: every pair it left
+    // unresolved is proven at least dn, so only cached pairs can lower dn.
     for (ObjectId j = 0; j < n; ++j) {
-      // `LessThan == false` proves the minimum is unchanged — no call.
-      if (resolver->LessThan(next, j, dn[j])) {
-        dn[j] = resolver->Distance(next, j);
+      if (resolver->Known(next, j)) {
+        dn[j] = std::min(dn[j], resolver->Distance(next, j));
       }
     }
   }
@@ -216,7 +209,7 @@ ClusteringResult PamCluster(BoundedResolver* resolver,
     }
     if (best_h == kInvalidObject) break;  // local optimum
     medoids[best_out] = best_h;
-    table = ComputeAssignment(resolver, medoids);
+    UpdateAssignment(resolver, medoids, best_out, &table);
     ++result.iterations;
   }
 

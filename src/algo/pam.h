@@ -21,16 +21,22 @@ struct PamOptions {
 /// BUILD takes the object of least distance sum, then, k - 1 times, the
 /// non-medoid of greatest gain against the current nearest-medoid
 /// distances, ties to the smaller id. Both argmins run best-first over the
-/// candidates: a candidate's bound row bounds its whole sum
-/// (medoid_internal::TermLowerBound), so a candidate whose row proves it
-/// cannot beat the incumbent is dropped without an oracle call, and one
-/// that is evaluated is abandoned once its resolved part rules it out.
+/// candidates (medoid_internal::BestFirstArgmin): a candidate's bound row
+/// bounds its whole sum (medoid_internal::TermLowerBound), so a candidate
+/// whose row proves it cannot beat the incumbent is dropped without an
+/// oracle call, and one that is evaluated is abandoned once its resolved
+/// part rules it out. A gain only shrinks as medoids are added, so BUILD
+/// 3..k start each candidate from the bound the previous step proved, and
+/// the new nearest-medoid distances come from the winner's own evaluation.
 /// SWAP repeatedly applies the best strictly-improving (medoid, non-medoid)
 /// exchange, breaking ties toward the first exchange in
 /// (medoid, non-medoid) order. It prices every exchange of one non-medoid
 /// in a single pass with per-object pruning (medoid_internal::SwapDeltas),
 /// and skips the non-medoid outright when that pass's row proves no slot
-/// beats the best delta so far.
+/// beats the best delta so far. The assignment resolves only the distances
+/// that can be among an object's two nearest medoids
+/// (medoid_internal::ComputeAssignment), and after a swap only those the
+/// swap can change (medoid_internal::UpdateAssignment).
 ///
 /// Every bound is a proven one, and a candidate's objective is compared as
 /// the oracle-only loop adds it, so both phases pick what oracle-only PAM

@@ -24,6 +24,16 @@ inline unsigned EnvThreadCap() {
   return cap;
 }
 
+/// std::thread::hardware_concurrency(), read once per process (at least 1).
+/// Reading it costs microseconds on Linux, and every batch asks.
+inline unsigned HardwareThreads() {
+  static const unsigned hw = [] {
+    const unsigned threads = std::thread::hardware_concurrency();
+    return threads > 0 ? threads : 1u;
+  }();
+  return hw;
+}
+
 }  // namespace internal
 
 /// Number of worker threads the parallel oracle paths may use (>= 1).
@@ -32,8 +42,7 @@ inline unsigned ParallelWorkerCount(unsigned requested = 0) {
   if (requested > 0) return requested;
   const unsigned env = internal::EnvThreadCap();
   if (env > 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return internal::HardwareThreads();
 }
 
 /// Runs fn(begin, end) over a partition of [0, n) on up to

@@ -283,13 +283,35 @@ std::vector<double> SymmetricMatrix(DistanceOracle* oracle) {
   return d;
 }
 
-enum class Input { kClustered, kSf };
+enum class Input { kClustered, kSf, kCycle };
 
 const char* InputName(Input input) {
-  return input == Input::kClustered ? "clustered" : "sf";
+  switch (input) {
+    case Input::kClustered:
+      return "clustered";
+    case Input::kSf:
+      return "sf";
+    case Input::kCycle:
+      return "cycle";
+  }
+  return "?";
+}
+
+// On a cycle, d(i, j) = min(|i - j|, n - |i - j|): every distance sum is the
+// same, many gains are, and every object ties with its mirror image.
+std::vector<double> CycleMatrix(ObjectId n) {
+  std::vector<double> matrix(static_cast<size_t>(n) * n);
+  for (ObjectId i = 0; i < n; ++i) {
+    for (ObjectId j = 0; j < n; ++j) {
+      const ObjectId gap = i > j ? i - j : j - i;
+      matrix[static_cast<size_t>(i) * n + j] = std::min(gap, n - gap);
+    }
+  }
+  return matrix;
 }
 
 std::vector<double> InputMatrix(Input input, ObjectId n, uint64_t seed) {
+  if (input == Input::kCycle) return CycleMatrix(n);
   const Dataset dataset = input == Input::kClustered
                               ? MakeClusteredEuclidean(n, 3, 6, 0.05, seed)
                               : MakeSfPoiLike(n, seed);
@@ -494,17 +516,10 @@ TEST(PamReferenceTest, MatchesTextbookPamOnTiedDeltas) {
 }
 
 TEST(PamReferenceTest, MatchesTextbookPamWhenEveryBuildObjectiveTies) {
-  // On a cycle, d(i, j) = min(|i - j|, n - |i - j|): every distance sum is
-  // the same and many gains are, so only the textbook's smaller-id rule
-  // picks BUILD's medoids.
+  // On a cycle every distance sum is the same and many gains are, so only
+  // the textbook's smaller-id rule picks BUILD's medoids.
   for (const ObjectId n : {12u, 13u, 30u}) {
-    std::vector<double> matrix(static_cast<size_t>(n) * n);
-    for (ObjectId i = 0; i < n; ++i) {
-      for (ObjectId j = 0; j < n; ++j) {
-        const ObjectId gap = i > j ? i - j : j - i;
-        matrix[static_cast<size_t>(i) * n + j] = std::min(gap, n - gap);
-      }
-    }
+    const std::vector<double> matrix = CycleMatrix(n);
     for (const uint32_t k : {2u, 3u, 5u}) {
       const ClusteringResult build = TextbookPam(matrix, n, k, 0);
       const ClusteringResult want = TextbookPam(matrix, n, k, 64);
@@ -832,6 +847,349 @@ TEST(PamReferenceTest, OneSwapRoundBoundsEachCandidateRowOnce) {
     EXPECT_GT(round_queries, 0u);
     EXPECT_LE(round_queries, uint64_t{kN - kK} * (kN - 1));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The assignment: only each object's two nearest medoids are resolved, in at
+// most k rounds, and an update after a swap gives the recomputed table.
+// ---------------------------------------------------------------------------
+
+constexpr SchemeKind kAllSchemes[] = {SchemeKind::kNone, SchemeKind::kTri,
+                                      SchemeKind::kLaesa, SchemeKind::kTlaesa,
+                                      SchemeKind::kSplub};
+
+using medoid_internal::AssignmentTable;
+
+double MatrixAt(const std::vector<double>& matrix, ObjectId n, ObjectId i,
+                ObjectId j) {
+  return matrix[static_cast<size_t>(i) * n + j];
+}
+
+// Each object's two least medoids under (distance, medoid id), read from the
+// matrix, with the deviation added in ascending object order.
+AssignmentTable BruteTable(const std::vector<double>& matrix, ObjectId n,
+                           const std::vector<ObjectId>& medoids) {
+  AssignmentTable table;
+  std::vector<uint32_t> slots(medoids.size());
+  for (ObjectId j = 0; j < n; ++j) {
+    std::iota(slots.begin(), slots.end(), uint32_t{0});
+    std::sort(slots.begin(), slots.end(), [&](uint32_t a, uint32_t b) {
+      const double da = MatrixAt(matrix, n, j, medoids[a]);
+      const double db = MatrixAt(matrix, n, j, medoids[b]);
+      return da < db || (da == db && medoids[a] < medoids[b]);
+    });
+    table.nearest.push_back(slots[0]);
+    table.second.push_back(slots[1]);
+    table.dist_nearest.push_back(MatrixAt(matrix, n, j, medoids[slots[0]]));
+    table.dist_second.push_back(MatrixAt(matrix, n, j, medoids[slots[1]]));
+    table.total_deviation += table.dist_nearest.back();
+  }
+  return table;
+}
+
+void ExpectSameTable(const AssignmentTable& got, const AssignmentTable& want) {
+  EXPECT_EQ(got.nearest, want.nearest);
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_EQ(got.dist_nearest, want.dist_nearest);
+  EXPECT_EQ(got.dist_second, want.dist_second);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.total_deviation),
+            std::bit_cast<uint64_t>(want.total_deviation));
+}
+
+// Distinct medoids drawn from `rng`.
+std::vector<ObjectId> DrawMedoids(ObjectId n, uint32_t k,
+                                  std::mt19937_64* rng) {
+  std::vector<ObjectId> medoids;
+  while (medoids.size() < k) {
+    const ObjectId m = static_cast<ObjectId>((*rng)() % n);
+    if (!medoid_internal::IsMedoid(medoids, m)) medoids.push_back(m);
+  }
+  return medoids;
+}
+
+// The distinct object-medoid pairs not yet resolved.
+uint64_t UnresolvedGridPairs(const BoundedResolver& resolver,
+                             const std::vector<ObjectId>& medoids) {
+  std::vector<uint64_t> pairs;
+  for (ObjectId j = 0; j < resolver.num_objects(); ++j) {
+    for (const ObjectId m : medoids) {
+      if (resolver.Known(j, m)) continue;
+      pairs.push_back(uint64_t{std::min(j, m)} << 32 | std::max(j, m));
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return static_cast<uint64_t>(
+      std::unique(pairs.begin(), pairs.end()) - pairs.begin());
+}
+
+// ComputeAssignment's rule one object at a time: j's row orders its
+// unresolved medoids, and each one j asks is resolved before the next is
+// asked, so every proof sees all that j has resolved so far.
+AssignmentTable SequentialAssignment(BoundedResolver* resolver,
+                                     const std::vector<ObjectId>& medoids) {
+  const ObjectId n = resolver->num_objects();
+  const uint32_t k = static_cast<uint32_t>(medoids.size());
+  AssignmentTable table;
+  table.nearest.assign(n, k);
+  table.second.assign(n, k);
+  table.dist_nearest.assign(n, kInfDistance);
+  table.dist_second.assign(n, kInfDistance);
+  const auto fold = [&](ObjectId j, uint32_t m, double d) {
+    const auto precedes = [&](double other_d, uint32_t other) {
+      return d < other_d ||
+             (d == other_d && (other == k || medoids[m] < medoids[other]));
+    };
+    if (precedes(table.dist_nearest[j], table.nearest[j])) {
+      table.second[j] = table.nearest[j];
+      table.dist_second[j] = table.dist_nearest[j];
+      table.nearest[j] = m;
+      table.dist_nearest[j] = d;
+    } else if (precedes(table.dist_second[j], table.second[j])) {
+      table.second[j] = m;
+      table.dist_second[j] = d;
+    }
+  };
+  std::vector<Interval> row(n);
+  for (ObjectId j = 0; j < n; ++j) {
+    std::vector<ObjectId> targets;
+    std::vector<uint32_t> slots;
+    for (uint32_t m = 0; m < k; ++m) {
+      if (resolver->Known(j, medoids[m])) {
+        fold(j, m, resolver->Distance(j, medoids[m]));
+      } else {
+        slots.push_back(m);
+      }
+    }
+    for (const uint32_t m : slots) targets.push_back(medoids[m]);
+    resolver->BoundsFrom(j, targets, row);
+    std::sort(slots.begin(), slots.end(), [&](uint32_t a, uint32_t b) {
+      const double la = row[medoids[a]].lo;
+      const double lb = row[medoids[b]].lo;
+      return la < lb || (la == lb && a < b);
+    });
+    bool resolved = false;
+    for (const uint32_t m : slots) {
+      const double ds = table.dist_second[j];
+      if (row[medoids[m]].lo > ds + BoundDecisionMargin(ds)) break;
+      if (resolved && ds != kInfDistance &&
+          resolver->ProvenGreaterThan(j, medoids[m], ds)) {
+        continue;
+      }
+      resolved = resolved || !resolver->Known(j, medoids[m]);
+      fold(j, m, resolver->Distance(j, medoids[m]));
+    }
+  }
+  for (const double d : table.dist_nearest) table.total_deviation += d;
+  return table;
+}
+
+TEST(MedoidAssignmentTest, AssignmentMatchesBruteForceTable) {
+  // Cold: medoids drawn on a fresh stack. Warm: a second draw after a PAM
+  // BUILD and its assignment have resolved part of the grid. Twin stacks
+  // with the same history run the rounds and the sequential reference.
+  constexpr uint32_t kK = 5;
+  uint64_t tri_calls = 0;
+  uint64_t tri_unresolved = 0;
+  uint64_t round_calls = 0;
+  uint64_t sequential_calls = 0;
+  for (const Input input : {Input::kClustered, Input::kSf, Input::kCycle}) {
+    const ObjectId n = input == Input::kCycle ? 30 : 40;
+    const std::vector<double> matrix = InputMatrix(input, n, 8);
+    for (const SchemeKind kind : kAllSchemes) {
+      for (const bool warm : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << InputName(input) << " "
+                                          << SchemeKindName(kind)
+                                          << (warm ? " warm" : " cold"));
+        MatrixStack rounds(matrix, n, kind);
+        MatrixStack sequential(matrix, n, kind);
+        std::mt19937_64 rng(n + (warm ? 1 : 0));
+        if (warm) {
+          const PamOptions build = {.num_medoids = kK, .max_swap_rounds = 0};
+          PamCluster(&rounds.resolver, build);
+          PamCluster(&sequential.resolver, build);
+        }
+        const std::vector<ObjectId> medoids = DrawMedoids(n, kK, &rng);
+        const AssignmentTable want = BruteTable(matrix, n, medoids);
+        const uint64_t unresolved =
+            UnresolvedGridPairs(rounds.resolver, medoids);
+        const ResolverStats before = rounds.resolver.stats();
+        ExpectSameTable(medoid_internal::ComputeAssignment(&rounds.resolver,
+                                                           medoids),
+                        want);
+        const uint64_t calls =
+            rounds.resolver.stats().oracle_calls - before.oracle_calls;
+        EXPECT_LE(calls, unresolved);
+        EXPECT_LE(rounds.resolver.stats().batch_calls - before.batch_calls,
+                  kK);
+
+        const uint64_t sequential_before =
+            sequential.resolver.stats().oracle_calls;
+        ExpectSameTable(SequentialAssignment(&sequential.resolver, medoids),
+                        want);
+        round_calls += calls;
+        sequential_calls +=
+            sequential.resolver.stats().oracle_calls - sequential_before;
+        if (kind == SchemeKind::kTri) {
+          tri_calls += calls;
+          tri_unresolved += unresolved;
+        }
+      }
+    }
+  }
+  EXPECT_LT(tri_calls, tri_unresolved);
+  // Batching a round asks each object's next medoid before the round's
+  // distances land, which may cost a proof the sequential order would have
+  // had; summed over the cases that costs at most 0.1% more calls.
+  EXPECT_LE(round_calls * 1000, sequential_calls * 1001)
+      << round_calls << " calls in rounds, " << sequential_calls
+      << " one object at a time";
+}
+
+TEST(MedoidAssignmentTest, UpdateMatchesRecompute) {
+  // Along PAM's and CLARANS's trajectories, the table updated after each
+  // swap is the one ComputeAssignment gives on a fresh stack.
+  constexpr uint32_t kK = 5;
+  uint64_t swaps = 0;
+  uint64_t second_held = 0;
+  for (const Input input : {Input::kClustered, Input::kSf, Input::kCycle}) {
+    const ObjectId n = input == Input::kCycle ? 30 : 40;
+    const std::vector<double> matrix = InputMatrix(input, n, 9);
+    for (const SchemeKind kind : kAllSchemes) {
+      SCOPED_TRACE(::testing::Message() << InputName(input) << " "
+                                        << SchemeKindName(kind));
+      const auto swap = [&](MatrixStack* stack, std::vector<ObjectId>* medoids,
+                            uint32_t out, ObjectId h, AssignmentTable* table) {
+        for (ObjectId j = 0; j < n; ++j) {
+          if (table->second[j] == out) ++second_held;
+        }
+        (*medoids)[out] = h;
+        medoid_internal::UpdateAssignment(&stack->resolver, *medoids, out,
+                                          table);
+        MatrixStack fresh(matrix, n, kind);
+        ExpectSameTable(*table, medoid_internal::ComputeAssignment(
+                                    &fresh.resolver, *medoids));
+        ExpectSameTable(*table, BruteTable(matrix, n, *medoids));
+        for (ObjectId j = 0; j < n; ++j) {
+          EXPECT_NE(table->second[j], table->nearest[j]) << "j=" << j;
+          EXPECT_EQ(MatrixAt(matrix, n, j, (*medoids)[table->second[j]]),
+                    table->dist_second[j])
+              << "j=" << j;
+        }
+        ++swaps;
+      };
+
+      // PAM: the best strictly improving swap of each round.
+      MatrixStack pam(matrix, n, kind);
+      std::vector<ObjectId> medoids =
+          PamCluster(&pam.resolver, {.num_medoids = kK, .max_swap_rounds = 0})
+              .medoids;
+      AssignmentTable table =
+          medoid_internal::ComputeAssignment(&pam.resolver, medoids);
+      medoid_internal::SwapScratch scratch;
+      std::vector<double> deltas(kK);
+      for (int round = 0; round < 64; ++round) {
+        double best_delta = 0.0;
+        uint32_t best_out = 0;
+        ObjectId best_h = kInvalidObject;
+        for (ObjectId h = 0; h < n; ++h) {
+          if (medoid_internal::IsMedoid(medoids, h)) continue;
+          medoid_internal::SwapDeltas(&pam.resolver, table, h, 0, kK,
+                                      kInfDistance, &scratch, deltas);
+          for (uint32_t out = 0; out < kK; ++out) {
+            if (deltas[out] < best_delta) {
+              best_delta = deltas[out];
+              best_out = out;
+              best_h = h;
+            }
+          }
+        }
+        if (best_h == kInvalidObject) break;
+        swap(&pam, &medoids, best_out, best_h, &table);
+      }
+
+      // CLARANS: every improving draw from a fixed stream.
+      MatrixStack clarans(matrix, n, kind);
+      std::mt19937_64 rng(n);
+      medoids = DrawMedoids(n, kK, &rng);
+      table = medoid_internal::ComputeAssignment(&clarans.resolver, medoids);
+      for (int draw = 0; draw < 200; ++draw) {
+        const uint32_t out = static_cast<uint32_t>(rng() % kK);
+        const ObjectId h = static_cast<ObjectId>(rng() % n);
+        if (medoid_internal::IsMedoid(medoids, h)) continue;
+        medoid_internal::SwapDeltas(&clarans.resolver, table, h, out, out + 1,
+                                    kInfDistance, &scratch, deltas);
+        if (deltas[out] < 0.0) swap(&clarans, &medoids, out, h, &table);
+      }
+    }
+  }
+  EXPECT_GT(swaps, 0u);
+  // Some swaps take an object's second-nearest medoid.
+  EXPECT_GT(second_held, 0u);
+}
+
+// -T for the textbook's gain T of candidate c against dn: what BUILD 2..k
+// minimizes, added in ascending j.
+double TextbookBuildObjective(const std::vector<double>& matrix, ObjectId n,
+                              const std::vector<double>& dn, ObjectId c) {
+  double gain = 0.0;
+  for (ObjectId j = 0; j < n; ++j) {
+    const double d = MatrixAt(matrix, n, c, j);
+    if (dn[j] > 0.0 && d < dn[j]) gain += dn[j] - d;
+  }
+  return -gain;
+}
+
+TEST(PamBuildTest, CarriedKeysStayBelowTheNextStepsObjective) {
+  // BUILD run step by step: every key BestFirstArgmin leaves for step s + 1
+  // is at most the candidate's textbook objective there, and every step
+  // picks the textbook's medoid.
+  constexpr uint32_t kK = 6;
+  uint64_t finite_keys = 0;
+  for (const Input input : {Input::kCycle, Input::kSf}) {
+    const ObjectId n = input == Input::kCycle ? 30 : 40;
+    const std::vector<double> matrix = InputMatrix(input, n, 10);
+    const std::vector<ObjectId> want = TextbookPam(matrix, n, kK, 0).medoids;
+    for (const SchemeKind kind :
+         {SchemeKind::kTri, SchemeKind::kLaesa, SchemeKind::kSplub}) {
+      SCOPED_TRACE(::testing::Message() << InputName(input) << " "
+                                        << SchemeKindName(kind));
+      MatrixStack stack(matrix, n, kind);
+      std::vector<ObjectId> everyone(n);
+      std::iota(everyone.begin(), everyone.end(), ObjectId{0});
+      std::vector<double> keys(n, -kInfDistance);
+      std::vector<ObjectId> medoids = {medoid_internal::BestFirstArgmin(
+          &stack.resolver, everyone, everyone,
+          std::vector<double>(n, kInfDistance), std::vector<double>(n, 0.0),
+          keys)};
+      std::vector<double> dn(n);
+      for (ObjectId j = 0; j < n; ++j) {
+        dn[j] = MatrixAt(matrix, n, medoids[0], j);
+      }
+      std::fill(keys.begin(), keys.end(), -kInfDistance);
+      while (medoids.size() < kK) {
+        std::vector<ObjectId> candidates;
+        std::vector<ObjectId> unserved;
+        for (ObjectId j = 0; j < n; ++j) {
+          if (!medoid_internal::IsMedoid(medoids, j)) candidates.push_back(j);
+          if (dn[j] > 0.0) unserved.push_back(j);
+        }
+        const ObjectId next = medoid_internal::BestFirstArgmin(
+            &stack.resolver, candidates, unserved, dn, dn, keys);
+        medoids.push_back(next);
+        for (ObjectId j = 0; j < n; ++j) {
+          dn[j] = std::min(dn[j], MatrixAt(matrix, n, next, j));
+        }
+        for (const ObjectId c : candidates) {
+          if (c == next) continue;
+          EXPECT_LE(keys[c], TextbookBuildObjective(matrix, n, dn, c))
+              << "step " << medoids.size() << " c=" << c;
+          if (keys[c] != -kInfDistance) ++finite_keys;
+        }
+      }
+      EXPECT_EQ(medoids, want);
+    }
+  }
+  EXPECT_GT(finite_keys, 0u);
 }
 
 }  // namespace
