@@ -26,6 +26,12 @@
 #include "harness/flags.h"
 #include "harness/table.h"
 
+namespace {
+
+constexpr uint32_t kMedoids = 10;
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace metricprox;
   auto flags = Flags::Parse(argc, argv);
@@ -33,8 +39,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
+  // Ablation 3 runs PAM and CLARANS with l = 10, which need 11 objects.
   const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
-      "--n", flags->GetInt("n", 256), "sf");
+      "--n", flags->GetInt("n", 256), "sf", kMedoids + 1);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   for (const Status& s : {flags->FailOnUnused(), n_flag.status()}) {
     if (!s.ok()) {
@@ -115,8 +122,8 @@ int main(int argc, char** argv) {
         {"boruvka-mst",
          [](BoundedResolver* r) { return BoruvkaMst(r).total_weight; }},
         {"knn-graph (k=5)", benchutil::KnnWorkload(5)},
-        {"pam (l=10)", benchutil::PamWorkload(10)},
-        {"clarans (l=10)", benchutil::ClaransWorkload(10, seed + 9)},
+        {"pam (l=10)", benchutil::PamWorkload(kMedoids)},
+        {"clarans (l=10)", benchutil::ClaransWorkload(kMedoids, seed + 9)},
         {"k-center (k=8)",
          [](BoundedResolver* r) { return KCenterCluster(r, 8).radius; }},
         {"dbscan",

@@ -86,14 +86,17 @@ void RunMatrix(const Dataset& dataset, ObjectId n, uint64_t seed, uint32_t k,
   }
   table.Print(dataset.name + ", n=" + std::to_string(n) + " (" +
               std::to_string(PairCount(n)) +
-              " pairs): emit + verify every bound decision");
+              " pairs): emit + verify every scalar bound decision");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   auto flags = metricprox::Flags::Parse(argc, argv);
-  CHECK(flags.ok()) << flags.status();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 1;
+  }
   const std::string dataset_name = flags->GetString("dataset", "sf");
   const auto make_dataset =
       metricprox::benchutil::RoadOrRandomDataset(dataset_name);
@@ -101,22 +104,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", make_dataset.status().ToString().c_str());
     return 1;
   }
+  // PAM needs two medoids and one more object.
   const StatusOr<std::vector<ObjectId>> parsed_sizes =
       metricprox::benchutil::ParseSizes(flags->GetString("sizes", "128,256"),
-                                        dataset_name);
+                                        dataset_name, 3);
   if (!parsed_sizes.ok()) {
     std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
     return 1;
   }
   const std::vector<ObjectId>& sizes = *parsed_sizes;
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  const uint32_t k = static_cast<uint32_t>(flags->GetInt("k", 4));
-  const uint32_t l = static_cast<uint32_t>(flags->GetInt("l", 5));
-  const metricprox::Status unused = flags->FailOnUnused();
-  if (!unused.ok()) {
-    std::fprintf(stderr, "%s\n", unused.ToString().c_str());
-    return 1;
+  const int64_t k_raw = flags->GetInt("k", 4);
+  const int64_t l_raw = flags->GetInt("l", 5);
+  // kNN needs k < n and PAM 2 <= l < n at every size.
+  const int64_t below = metricprox::benchutil::SmallestSize(sizes) - int64_t{1};
+  for (const metricprox::Status& s :
+       {flags->FailOnUnused(),
+        metricprox::benchutil::CheckIntInRange("--k", k_raw, 1, below),
+        metricprox::benchutil::CheckIntInRange("--l", l_raw, 2, below)}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   }
+  const uint32_t k = static_cast<uint32_t>(k_raw);
+  const uint32_t l = static_cast<uint32_t>(l_raw);
 
   std::printf(
       "Certification overhead: every cell is an A-B run (bare vs certified) "

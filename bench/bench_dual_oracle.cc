@@ -8,6 +8,7 @@
 //
 // Flags: --n=480   --clusters=48   --spread=0.003   --seed=31   --k=4
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -15,7 +16,6 @@
 
 #include "algo/boruvka.h"
 #include "bench/common.h"
-#include "core/logging.h"
 #include "data/datasets.h"
 #include "harness/experiment.h"
 #include "harness/flags.h"
@@ -29,10 +29,13 @@ using metricprox::Dataset;
 using metricprox::ObjectId;
 using metricprox::RunWorkload;
 using metricprox::SchemeKind;
+using metricprox::StatusOr;
 using metricprox::Workload;
 using metricprox::WorkloadConfig;
 using metricprox::WorkloadResult;
 using metricprox::benchutil::BenchJson;
+using metricprox::benchutil::CheckIntInRange;
+using metricprox::benchutil::CheckObjectCount;
 using metricprox::benchutil::PairCount;
 
 constexpr double kAlphas[] = {1.05, 1.25, 2.0};
@@ -46,18 +49,37 @@ struct Stage {
 
 int main(int argc, char** argv) {
   auto flags = metricprox::Flags::Parse(argc, argv);
-  CHECK(flags.ok()) << flags.status();
-  const ObjectId n = static_cast<ObjectId>(flags->GetInt("n", 480));
-  const uint32_t clusters =
-      static_cast<uint32_t>(flags->GetInt("clusters", 48));
-  const double spread = flags->GetDouble("spread", 0.003);
-  const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 31));
-  const uint32_t k = static_cast<uint32_t>(flags->GetInt("k", 4));
-  const metricprox::Status unused = flags->FailOnUnused();
-  if (!unused.ok()) {
-    std::fprintf(stderr, "%s\n", unused.ToString().c_str());
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
+  const StatusOr<ObjectId> n_flag =
+      CheckObjectCount("--n", flags->GetInt("n", 480), "");
+  // The checks below read n only when it is valid: its error comes first.
+  const ObjectId n = n_flag.ok() ? *n_flag : 2;
+  const int64_t clusters_raw = flags->GetInt("clusters", 48);
+  const double spread = flags->GetDouble("spread", 0.003);
+  const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 31));
+  const int64_t k_raw = flags->GetInt("k", 4);
+  // The points' Gaussian spread is a fraction of the unit box they lie in;
+  // a non-finite one would reach the graph as a non-finite distance.
+  const metricprox::Status spread_flag =
+      std::isfinite(spread) && spread > 0.0 && spread <= 1.0
+          ? metricprox::Status::OK()
+          : metricprox::Status::InvalidArgument(
+                "--spread must be a finite value in (0, 1]; got " +
+                std::to_string(spread));
+  for (const metricprox::Status& s :
+       {flags->FailOnUnused(), n_flag.status(),
+        CheckIntInRange("--clusters", clusters_raw, 1, n),
+        CheckIntInRange("--k", k_raw, 1, n - 1), spread_flag}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
+  const uint32_t clusters = static_cast<uint32_t>(clusters_raw);
+  const uint32_t k = static_cast<uint32_t>(k_raw);
 
   Dataset dataset =
       metricprox::MakeClusteredEuclidean(n, 2, clusters, spread, seed);

@@ -29,6 +29,12 @@
 namespace metricprox {
 namespace {
 
+// The LAESA and TLAESA tables resolve through the shared resolver: every
+// pair that touches one of the ceil(log2 n) pivots, and up to 16 objects
+// TLAESA's single leaf adds none. Below 4 objects that leaves no pair
+// unresolved to sample.
+constexpr ObjectId kMinObjects = 4;
+
 struct QueryPair {
   ObjectId i;
   ObjectId j;
@@ -102,16 +108,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
-      "--n", flags->GetInt("n", 384), "sf");
-  const size_t queries = static_cast<size_t>(flags->GetInt("queries", 1500));
+      "--n", flags->GetInt("n", 384), "sf", kMinObjects);
+  const int64_t queries_raw = flags->GetInt("queries", 1500);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  for (const Status& s : {flags->FailOnUnused(), n_flag.status()}) {
+  // The samples draw with replacement from the unresolved pairs; more
+  // draws than there are pairs add nothing.
+  const ObjectId n = n_flag.ok() ? *n_flag : kMinObjects;
+  for (const Status& s :
+       {flags->FailOnUnused(), n_flag.status(),
+        benchutil::CheckIntInRange(
+            "--queries", queries_raw, 1,
+            static_cast<int64_t>(benchutil::PairCount(n)))}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
   }
-  const ObjectId n = *n_flag;
+  const size_t queries = static_cast<size_t>(queries_raw);
 
   Dataset dataset = MakeSfPoiLike(n, seed);
   PartialDistanceGraph graph(n);

@@ -7,7 +7,9 @@
 //
 // Flags: --n=192  --n-l=256  --seed=42
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <tuple>
 #include <vector>
 
@@ -23,6 +25,10 @@ using metricprox::SchemeKind;
 using metricprox::Workload;
 using metricprox::WorkloadConfig;
 using metricprox::WorkloadResult;
+
+// The medoid count of the completion-time tables, and the l sweep.
+constexpr uint32_t kTimeL = 10;
+constexpr uint32_t kLs[] = {4, 6, 8, 10, 14, 20};
 
 void CompletionTimeTable(const char* title, Dataset* dataset,
                          const Workload& workload, uint64_t seed) {
@@ -73,7 +79,7 @@ void CallsVsL(const char* title, Dataset* dataset, bool clarans,
               uint64_t seed) {
   metricprox::TablePrinter table(
       {"l", "without-plug", "tri", "laesa", "tlaesa"});
-  for (const uint32_t l : {4u, 6u, 8u, 10u, 14u, 20u}) {
+  for (const uint32_t l : kLs) {
     const Workload workload =
         clarans ? metricprox::benchutil::ClaransWorkload(l, seed + 9)
                 : metricprox::benchutil::PamWorkload(l);
@@ -119,10 +125,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
+  // PAM and CLARANS need more objects than medoids: l = 10 at --n, and up
+  // to the largest of kLs at --n-l.
   const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
-      "--n", flags->GetInt("n", 192), "urbangb");
+      "--n", flags->GetInt("n", 192), "urbangb", kTimeL + 1);
   const StatusOr<ObjectId> n_l_flag = benchutil::CheckObjectCount(
-      "--n-l", flags->GetInt("n-l", 256), "sf");
+      "--n-l", flags->GetInt("n-l", 256), "sf",
+      *std::max_element(std::begin(kLs), std::end(kLs)) + 1);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   for (const Status& s :
        {flags->FailOnUnused(), n_flag.status(), n_l_flag.status()}) {
@@ -138,11 +147,11 @@ int main(int argc, char** argv) {
   CompletionTimeTable(
       "Figure 8a — PAM (l=10) completion time vs oracle cost "
       "(UrbanGB-like)",
-      &time_dataset, benchutil::PamWorkload(10), seed);
+      &time_dataset, benchutil::PamWorkload(kTimeL), seed);
   CompletionTimeTable(
       "Figure 8b — CLARANS (l=10) completion time vs oracle cost "
       "(UrbanGB-like)",
-      &time_dataset, benchutil::ClaransWorkload(10, seed + 9), seed);
+      &time_dataset, benchutil::ClaransWorkload(kTimeL, seed + 9), seed);
 
   Dataset l_dataset = MakeSfPoiLike(n_l, seed);
   CallsVsL("Figure 8c — PAM distance calls vs number of clusters l "

@@ -10,7 +10,9 @@
 //
 // Flags: --n=384  --n-cluster=192  --seed=42
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,10 @@ using metricprox::SchemeKind;
 using metricprox::Workload;
 using metricprox::WorkloadConfig;
 using metricprox::WorkloadResult;
+
+// The kNN k sweep and the PAM / CLARANS l sweep.
+constexpr uint32_t kKs[] = {1, 3, 5, 10, 15, 20};
+constexpr uint32_t kLs[] = {4, 8, 10, 14, 20};
 
 struct SchemeOutcome {
   uint64_t calls;
@@ -57,10 +63,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
+  // kNN needs more objects than its largest k, PAM and CLARANS more than
+  // their largest l.
   const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
-      "--n", flags->GetInt("n", 384), "sf");
+      "--n", flags->GetInt("n", 384), "sf",
+      *std::max_element(std::begin(kKs), std::end(kKs)) + 1);
   const StatusOr<ObjectId> n_cluster_flag = benchutil::CheckObjectCount(
-      "--n-cluster", flags->GetInt("n-cluster", 192), "sf");
+      "--n-cluster", flags->GetInt("n-cluster", 192), "sf",
+      *std::max_element(std::begin(kLs), std::end(kLs)) + 1);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
   for (const Status& s :
        {flags->FailOnUnused(), n_flag.status(), n_cluster_flag.status()}) {
@@ -77,7 +87,7 @@ int main(int argc, char** argv) {
     Dataset dataset = MakeSfPoiLike(n, seed);
     TablePrinter table({"k", "without-plug calls", "tri calls", "laesa calls",
                         "tri CPU overhead (s)", "laesa CPU overhead (s)"});
-    for (const uint32_t k : {1u, 3u, 5u, 10u, 15u, 20u}) {
+    for (const uint32_t k : kKs) {
       const Workload workload = benchutil::KnnWorkload(k);
       double checksum = 0.0;
       const SchemeOutcome none =
@@ -106,7 +116,7 @@ int main(int argc, char** argv) {
     Dataset dataset = MakeSfPoiLike(n_cluster, seed);
     TablePrinter table({"l", "tri calls", "tri CPU overhead (s)",
                         "laesa calls", "laesa CPU overhead (s)"});
-    for (const uint32_t l : {4u, 8u, 10u, 14u, 20u}) {
+    for (const uint32_t l : kLs) {
       const Workload workload =
           clarans ? benchutil::ClaransWorkload(l, seed + 9)
                   : benchutil::PamWorkload(l);

@@ -6,8 +6,8 @@
 // distance calls are routed through a shared BoundedResolver so caching is
 // identical and counts are comparable.
 //
-//  (a) SF-POI-like road metric: VP-tree vs Tri-plugged k-NN build,
-//  (b) DNA edit distance (integer metric): BK-tree vs VP-tree vs Tri.
+//  (a) SF-POI-like road metric: VP-tree and M-tree vs Tri-plugged k-NN,
+//  (b) DNA edit distance (integer metric, n/2 strings): the same three.
 //
 // Flags: --n=384  --k=5  --seed=42
 
@@ -20,9 +20,6 @@
 #include "bounds/scheme.h"
 #include "harness/flags.h"
 #include "harness/table.h"
-#include "index/bktree.h"
-#include "index/fqt.h"
-#include "index/gnat.h"
 #include "index/mtree.h"
 #include "index/vptree.h"
 
@@ -95,17 +92,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
+  const int64_t k_raw = flags->GetInt("k", 5);
+  // The DNA half holds n/2 objects, and each needs k neighbors besides
+  // itself: n >= 2(k + 1), and n is at most the SF grid's junction count.
+  const Status k_flag =
+      benchutil::CheckIntInRange("--k", k_raw, 1, kSfPoiCapacity / 2 - 1);
   const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
-      "--n", flags->GetInt("n", 384), "sf");
-  const uint32_t k = static_cast<uint32_t>(flags->GetInt("k", 5));
+      "--n", flags->GetInt("n", 384), "sf",
+      k_flag.ok() ? static_cast<ObjectId>(2 * (k_raw + 1)) : 2);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  for (const Status& s : {flags->FailOnUnused(), n_flag.status()}) {
+  for (const Status& s : {flags->FailOnUnused(), k_flag, n_flag.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
   }
   const ObjectId n = *n_flag;
+  const uint32_t k = static_cast<uint32_t>(k_raw);
 
   // --- (a) road metric ---
   {
@@ -129,26 +132,13 @@ int main(int argc, char** argv) {
         });
     benchutil::CheckSameResult(framework.checksum, vptree.checksum,
                                "index bench road");
-    const Outcome gnat = RunIndex(
-        dataset.oracle.get(),
-        [&](const ResolveFn& resolve) {
-          GnatOptions gnat_options;
-          gnat_options.seed = seed;
-          return Gnat(n, gnat_options, resolve);
-        },
-        [&](const Gnat& tree, ObjectId q, const ResolveFn& resolve) {
-          return tree.Knn(q, k, resolve);
-        });
     benchutil::CheckSameResult(framework.checksum, mtree.checksum,
                                "index bench road mtree");
-    benchutil::CheckSameResult(framework.checksum, gnat.checksum,
-                               "index bench road gnat");
     TablePrinter table({"method", "construction calls", "query calls",
                         "total calls"});
     EmitRow(&table, "framework (tri+bootstrap)", framework);
     EmitRow(&table, "vp-tree", vptree);
     EmitRow(&table, "m-tree", mtree);
-    EmitRow(&table, "gnat", gnat);
     char title[128];
     std::snprintf(title, sizeof(title),
                   "Index baselines (a) — all-%u-NN, SF-POI-like, n=%u", k, n);
@@ -169,12 +159,6 @@ int main(int argc, char** argv) {
         [&](const VpTree& tree, ObjectId q, const ResolveFn& resolve) {
           return tree.Knn(q, k, resolve);
         });
-    const Outcome bktree = RunIndex(
-        dataset.oracle.get(),
-        [&](const ResolveFn& resolve) { return BkTree(dn, resolve); },
-        [&](const BkTree& tree, ObjectId q, const ResolveFn& resolve) {
-          return tree.Knn(q, k, resolve);
-        });
     const Outcome mtree = RunIndex(
         dataset.oracle.get(),
         [&](const ResolveFn& resolve) {
@@ -185,29 +169,13 @@ int main(int argc, char** argv) {
         });
     benchutil::CheckSameResult(framework.checksum, vptree.checksum,
                                "index bench dna vpt");
-    benchutil::CheckSameResult(framework.checksum, bktree.checksum,
-                               "index bench dna bkt");
-    const Outcome fqt = RunIndex(
-        dataset.oracle.get(),
-        [&](const ResolveFn& resolve) {
-          FqtOptions fqt_options;
-          fqt_options.seed = seed;
-          return Fqt(dn, fqt_options, resolve);
-        },
-        [&](const Fqt& tree, ObjectId q, const ResolveFn& resolve) {
-          return tree.Knn(q, k, resolve);
-        });
     benchutil::CheckSameResult(framework.checksum, mtree.checksum,
                                "index bench dna mtree");
-    benchutil::CheckSameResult(framework.checksum, fqt.checksum,
-                               "index bench dna fqt");
     TablePrinter table({"method", "construction calls", "query calls",
                         "total calls"});
     EmitRow(&table, "framework (tri+bootstrap)", framework);
     EmitRow(&table, "vp-tree", vptree);
     EmitRow(&table, "m-tree", mtree);
-    EmitRow(&table, "bk-tree", bktree);
-    EmitRow(&table, "fqt", fqt);
     char title[128];
     std::snprintf(title, sizeof(title),
                   "Index baselines (b) — all-%u-NN, DNA edit distance, n=%u",

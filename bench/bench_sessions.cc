@@ -53,9 +53,12 @@ using metricprox::SessionPoolOptions;
 using metricprox::Stopwatch;
 using metricprox::TriBounder;
 
+constexpr uint32_t kKnnK = 3;
+constexpr int64_t kMaxSessions = 64;
+
 std::vector<double> KnnBlob(BoundedResolver* resolver) {
   std::vector<double> blob;
-  for (const auto& row : BuildKnnGraph(resolver, KnnGraphOptions{3})) {
+  for (const auto& row : BuildKnnGraph(resolver, KnnGraphOptions{kKnnK})) {
     for (const KnnNeighbor& nb : row) {
       blob.push_back(nb.id);
       blob.push_back(nb.distance);
@@ -197,21 +200,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 1;
   }
+  // Each session builds a k-NN(3) graph, which needs 4 objects.
   const metricprox::StatusOr<std::vector<ObjectId>> parsed_sizes =
-      metricprox::benchutil::ParseSizes(flags->GetString("sizes", "96,192"));
+      metricprox::benchutil::ParseSizes(flags->GetString("sizes", "96,192"),
+                                        "", kKnnK + 1);
   if (!parsed_sizes.ok()) {
     std::fprintf(stderr, "%s\n", parsed_sizes.status().ToString().c_str());
     return 1;
   }
   const std::vector<ObjectId>& sizes = *parsed_sizes;
-  const unsigned sessions =
-      static_cast<unsigned>(flags->GetInt("sessions", 3));
+  const int64_t sessions = flags->GetInt("sessions", 3);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  const metricprox::Status unused = flags->FailOnUnused();
-  if (!unused.ok()) {
-    std::fprintf(stderr, "%s\n", unused.ToString().c_str());
-    return 1;
+  // Sharing needs two sessions to share between. Each session runs on a
+  // thread of its own, so their count is capped.
+  for (const metricprox::Status& s :
+       {flags->FailOnUnused(), metricprox::benchutil::CheckIntInRange(
+                                   "--sessions", sessions, 2, kMaxSessions)}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   }
-  RunBench(sizes, sessions, seed);
+  RunBench(sizes, static_cast<unsigned>(sessions), seed);
   return 0;
 }

@@ -27,15 +27,22 @@ int main(int argc, char** argv) {
   }
   const StatusOr<ObjectId> n_flag = benchutil::CheckObjectCount(
       "--n", flags->GetInt("n", 512), "sf");
-  const size_t queries = static_cast<size_t>(flags->GetInt("queries", 4000));
+  const int64_t queries_raw = flags->GetInt("queries", 4000);
   const uint64_t seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-  for (const Status& s : {flags->FailOnUnused(), n_flag.status()}) {
+  // The sample draws with replacement from the unresolved pairs; more
+  // draws than there are pairs add nothing.
+  const ObjectId n = n_flag.ok() ? *n_flag : 2;
+  for (const Status& s :
+       {flags->FailOnUnused(), n_flag.status(),
+        benchutil::CheckIntInRange(
+            "--queries", queries_raw, 1,
+            static_cast<int64_t>(benchutil::PairCount(n)))}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
   }
-  const ObjectId n = *n_flag;
+  const size_t queries = static_cast<size_t>(queries_raw);
 
   Dataset dataset = MakeSfPoiLike(n, seed);
   TablePrinter table({"m (edges)", "m/n", "mean deg(i)+deg(j)", "ns/query",

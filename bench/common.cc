@@ -22,14 +22,20 @@
 namespace metricprox {
 namespace benchutil {
 
+Status CheckIntInRange(std::string_view flag, int64_t v, int64_t lo,
+                       int64_t hi) {
+  if (v >= lo && v <= hi) return Status::OK();
+  return Status::InvalidArgument(std::string(flag) + " must be in [" +
+                                 std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "]; got " +
+                                 std::to_string(v));
+}
+
 StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
-                                    std::string_view dataset) {
-  constexpr int64_t kMax = std::numeric_limits<ObjectId>::max();
-  if (n < 0 || n > kMax) {
-    return Status::InvalidArgument(std::string(flag) + " must be in [0, " +
-                                   std::to_string(kMax) + "]; got " +
-                                   std::to_string(n));
-  }
+                                    std::string_view dataset,
+                                    ObjectId min_count) {
+  MP_RETURN_IF_ERROR(CheckIntInRange(flag, n, min_count,
+                                     std::numeric_limits<ObjectId>::max()));
   const ObjectId count = static_cast<ObjectId>(n);
   if (dataset == "sf") {
     MP_RETURN_IF_ERROR(CheckRoadCapacity(dataset, count, kSfPoiCapacity));
@@ -37,6 +43,11 @@ StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
     MP_RETURN_IF_ERROR(CheckRoadCapacity(dataset, count, kUrbanGbCapacity));
   }
   return count;
+}
+
+ObjectId SmallestSize(const std::vector<ObjectId>& sizes) {
+  return sizes.empty() ? std::numeric_limits<ObjectId>::max()
+                       : *std::min_element(sizes.begin(), sizes.end());
 }
 
 StatusOr<std::function<Dataset(ObjectId, uint64_t)>> RoadOrRandomDataset(
@@ -50,7 +61,8 @@ StatusOr<std::function<Dataset(ObjectId, uint64_t)>> RoadOrRandomDataset(
 }
 
 StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
-                                           std::string_view dataset) {
+                                           std::string_view dataset,
+                                           ObjectId min_count) {
   std::vector<ObjectId> sizes;
   if (csv.empty()) return sizes;
   size_t begin = 0;
@@ -64,10 +76,12 @@ StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
         rest != token.data() + token.size()) {
       return Status::InvalidArgument(
           "invalid --sizes entry '" + std::string(token) +
-          "': expected a comma-separated list of object counts in [0, " +
+          "': expected a comma-separated list of object counts in [" +
+          std::to_string(min_count) + ", " +
           std::to_string(std::numeric_limits<ObjectId>::max()) + "]");
     }
-    MP_RETURN_IF_ERROR(CheckObjectCount("--sizes", value, dataset).status());
+    MP_RETURN_IF_ERROR(
+        CheckObjectCount("--sizes", value, dataset, min_count).status());
     sizes.push_back(value);
     if (end == csv.size()) return sizes;
     begin = end + 1;

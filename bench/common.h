@@ -19,19 +19,35 @@ inline uint64_t PairCount(ObjectId n) {
   return static_cast<uint64_t>(n) * (n - 1) / 2;
 }
 
+/// InvalidArgument naming `flag` unless lo <= v <= hi ("--k must be in
+/// [1, 31]; got 40"), so a bench rejects a value that its dataset builder or
+/// algorithm would CHECK-abort on before it does any work.
+Status CheckIntInRange(std::string_view flag, int64_t v, int64_t lo,
+                       int64_t hi);
+
 /// An object count read from flag `flag` for a bench that builds the
-/// dataset `dataset`: InvalidArgument unless it fits ObjectId and, for a
-/// road dataset ("sf", "urbangb"), the junctions of its grid
-/// (CheckRoadCapacity). Other datasets are only range-checked.
+/// dataset `dataset`: InvalidArgument unless it is at least `min_count` and
+/// fits ObjectId and, for a road dataset ("sf", "urbangb"), the junctions of
+/// its grid (CheckRoadCapacity). Other datasets are only range-checked. The
+/// floor of 2 is what pivot selection and the dataset builders need; a
+/// bench whose algorithm needs more objects (PAM with l medoids needs
+/// l + 1) passes its own.
 StatusOr<ObjectId> CheckObjectCount(std::string_view flag, int64_t n,
-                                    std::string_view dataset);
+                                    std::string_view dataset,
+                                    ObjectId min_count = 2);
 
 /// Parses a --sizes flag value: comma-separated decimal object counts, ""
-/// being the empty list, each checked by CheckObjectCount for `dataset`. An
-/// empty token, a character other than a digit or a value that does not fit
-/// ObjectId is InvalidArgument, and so is a size past a road grid.
+/// being the empty list, each checked by CheckObjectCount for `dataset` and
+/// `min_count`. An empty token, a character other than a digit or a value
+/// that does not fit ObjectId is InvalidArgument, and so is a size below
+/// `min_count` or past a road grid.
 StatusOr<std::vector<ObjectId>> ParseSizes(const std::string& csv,
-                                           std::string_view dataset = "");
+                                           std::string_view dataset = "",
+                                           ObjectId min_count = 2);
+
+/// The smallest of `sizes`, or the largest ObjectId when there are none: a
+/// per-size parameter such as kNN's k must stay below it.
+ObjectId SmallestSize(const std::vector<ObjectId>& sizes);
 
 /// The dataset builder for a bench's --dataset flag: "sf" (the default of
 /// every bench that takes the flag), "urbangb" or "random". Any other name is

@@ -135,7 +135,8 @@ StatusOr<WorkloadResult> TryRunWorkload(DistanceOracle* oracle,
 /// Outcome of an audited/unaudited A-B run of one workload (see
 /// AuditWorkload). `passed()` is the property the paper's exactness theorem
 /// promises and `--audit` asserts: certification changes nothing observable
-/// and every bound decision is independently provable.
+/// and every scalar bound decision (a Decide* verb) is independently
+/// provable. Decisions read off BoundsFrom rows are not certified.
 struct AuditReport {
   WorkloadResult unaudited;
   WorkloadResult audited;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 
 #include "core/oracle.h"
 #include "core/types.h"
@@ -118,43 +117,6 @@ class SimulatedCostOracle : public DistanceOracle {
   double seconds_per_call_;
   double simulated_seconds_ = 0.0;
   Telemetry* telemetry_ = nullptr;  // not owned; nullptr = telemetry off
-};
-
-/// Memoizes results of the wrapped oracle. Note that a BoundedResolver
-/// already caches every resolution in its PartialDistanceGraph; this wrapper
-/// exists for components that bypass the resolver (pivot selection, ground
-/// truth computation in tests).
-class CachingOracle : public DistanceOracle {
- public:
-  explicit CachingOracle(DistanceOracle* base) : base_(base) {}
-
-  double Distance(ObjectId i, ObjectId j) override {
-    const EdgeKey key(i, j);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    ++misses_;
-    const double d = base_->Distance(i, j);
-    cache_.emplace(key, d);
-    return d;
-  }
-  ObjectId num_objects() const override { return base_->num_objects(); }
-  std::string_view name() const override { return base_->name(); }
-  void set_batch_workers(unsigned workers) override {
-    base_->set_batch_workers(workers);
-  }
-  unsigned batch_workers() const override { return base_->batch_workers(); }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  DistanceOracle* base_;  // not owned
-  std::unordered_map<EdgeKey, double, EdgeKeyHash> cache_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 /// Debug wrapper that spot-checks the metric axioms online: every Kth call

@@ -6,9 +6,6 @@
 #include "algo/reference.h"
 #include "bounds/resolver.h"
 #include "data/synthetic.h"
-#include "index/bktree.h"
-#include "index/fqt.h"
-#include "index/gnat.h"
 #include "index/vptree.h"
 #include "oracle/string_oracle.h"
 #include "tests/test_util.h"
@@ -42,27 +39,43 @@ TEST_P(VpTreeKnnTest, MatchesReferenceForEveryQuery) {
 INSTANTIATE_TEST_SUITE_P(Ks, VpTreeKnnTest, ::testing::Values(1u, 3u, 8u));
 
 TEST(VpTreeTest, RangeMatchesBruteForce) {
-  const ObjectId n = 32;
-  ResolverStack stack = MakeRandomStack(n, 62);
-  const ResolveFn resolve = RawResolve(stack.oracle.get());
-  VpTree tree(n, VpTreeOptions{}, resolve);
-  for (const double radius : {0.2, 0.5, 0.8}) {
-    for (ObjectId q = 0; q < n; q += 7) {
-      std::vector<KnnNeighbor> brute;
-      for (ObjectId v = 0; v < n; ++v) {
-        if (v == q) continue;
-        const double d = stack.oracle->Distance(q, v);
-        if (d <= radius) brute.push_back(KnnNeighbor{v, d});
+  // A continuous metric, then a tie-heavy integer one whose integer radii
+  // equal distances: an object exactly at the radius is in the range.
+  ResolverStack stack = MakeRandomStack(32, 62);
+  LevenshteinOracle dna(
+      DnaFamilyStrings(28, 18, /*num_families=*/3, /*mutations=*/2, 172));
+  const struct {
+    DistanceOracle* oracle;
+    std::vector<double> radii;
+  } inputs[] = {{stack.oracle.get(), {0.2, 0.5, 0.8}},
+                {&dna, {0.0, 1.0, 2.0, 3.0, 5.0, 7.0}}};
+  uint64_t dna_ties = 0;
+  for (const auto& input : inputs) {
+    const ObjectId n = input.oracle->num_objects();
+    const ResolveFn resolve = RawResolve(input.oracle);
+    VpTree tree(n, VpTreeOptions{}, resolve);
+    for (const double radius : input.radii) {
+      for (ObjectId q = 0; q < n; ++q) {
+        std::vector<KnnNeighbor> brute;
+        for (ObjectId v = 0; v < n; ++v) {
+          if (v == q) continue;
+          const double d = input.oracle->Distance(q, v);
+          if (d <= radius) brute.push_back(KnnNeighbor{v, d});
+          if (input.oracle == &dna && d == radius) ++dna_ties;
+        }
+        std::sort(brute.begin(), brute.end(),
+                  [](const KnnNeighbor& a, const KnnNeighbor& b) {
+                    if (a.distance != b.distance) {
+                      return a.distance < b.distance;
+                    }
+                    return a.id < b.id;
+                  });
+        ASSERT_EQ(tree.Range(q, radius, resolve), brute)
+            << input.oracle->name() << " q=" << q << " radius=" << radius;
       }
-      std::sort(brute.begin(), brute.end(),
-                [](const KnnNeighbor& a, const KnnNeighbor& b) {
-                  if (a.distance != b.distance) return a.distance < b.distance;
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(tree.Range(q, radius, resolve), brute)
-          << "q=" << q << " radius=" << radius;
     }
   }
+  EXPECT_GT(dna_ties, 0u);
 }
 
 TEST(VpTreeTest, SearchThroughResolverPrunesRepeatQueries) {
@@ -104,208 +117,6 @@ TEST(VpTreeTest, TieHeavyMetricStillExact) {
   for (ObjectId q = 0; q < 28; ++q) {
     ASSERT_EQ(tree.Knn(q, 4, resolve), expected[q]) << "query " << q;
   }
-}
-
-// ---- GNAT ----
-
-class GnatKnnTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(GnatKnnTest, MatchesReferenceForEveryQuery) {
-  const ObjectId n = 40;
-  ResolverStack stack = MakeRandomStack(n, 161);
-  const ResolveFn resolve = RawResolve(stack.oracle.get());
-  GnatOptions options;
-  options.degree = 4;
-  options.leaf_size = 5;
-  options.seed = 3;
-  Gnat gnat(n, options, resolve);
-  const uint32_t k = GetParam();
-  const KnnGraph expected = ReferenceKnnGraph(stack.oracle.get(), k);
-  for (ObjectId q = 0; q < n; ++q) {
-    ASSERT_EQ(gnat.Knn(q, k, resolve), expected[q]) << "query " << q;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ks, GnatKnnTest, ::testing::Values(1u, 3u, 8u));
-
-TEST(GnatTest, RangeMatchesBruteForce) {
-  const ObjectId n = 34;
-  ResolverStack stack = MakeRandomStack(n, 162);
-  const ResolveFn resolve = RawResolve(stack.oracle.get());
-  Gnat gnat(n, GnatOptions{}, resolve);
-  for (const double radius : {0.25, 0.5, 0.85}) {
-    for (ObjectId q = 0; q < n; q += 6) {
-      std::vector<KnnNeighbor> brute;
-      for (ObjectId v = 0; v < n; ++v) {
-        if (v == q) continue;
-        const double d = stack.oracle->Distance(q, v);
-        if (d <= radius) brute.push_back(KnnNeighbor{v, d});
-      }
-      std::sort(brute.begin(), brute.end(),
-                [](const KnnNeighbor& a, const KnnNeighbor& b) {
-                  if (a.distance != b.distance) return a.distance < b.distance;
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(gnat.Range(q, radius, resolve), brute)
-          << "q=" << q << " radius=" << radius;
-    }
-  }
-}
-
-TEST(GnatTest, TieHeavyMetricStillExact) {
-  std::vector<std::string> strings =
-      DnaFamilyStrings(30, 20, /*num_families=*/3, /*mutations=*/2, 163);
-  LevenshteinOracle oracle(strings);
-  const ResolveFn resolve = RawResolve(&oracle);
-  GnatOptions options;
-  options.degree = 3;
-  options.leaf_size = 4;
-  Gnat gnat(30, options, resolve);
-  const KnnGraph expected = ReferenceKnnGraph(&oracle, 4);
-  for (ObjectId q = 0; q < 30; ++q) {
-    ASSERT_EQ(gnat.Knn(q, 4, resolve), expected[q]) << "query " << q;
-  }
-}
-
-TEST(GnatTest, AnnulusEliminationPrunesOnTightRange) {
-  const ObjectId n = 160;
-  ResolverStack stack = MakeRandomStack(n, 164);
-  Gnat gnat(n, GnatOptions{}, RawResolve(stack.oracle.get()));
-  uint64_t calls = 0;
-  const ResolveFn counting = [&](ObjectId a, ObjectId b) {
-    ++calls;
-    return stack.oracle->Distance(a, b);
-  };
-  gnat.Range(0, 0.15, counting);
-  EXPECT_LT(calls, static_cast<uint64_t>(n - 1));
-}
-
-// ---- FQT ----
-
-TEST(FqtTest, KnnMatchesReferenceOnContinuousMetric) {
-  const ObjectId n = 36;
-  ResolverStack stack = MakeRandomStack(n, 171);
-  const ResolveFn resolve = RawResolve(stack.oracle.get());
-  FqtOptions options;
-  options.bucket_width = 0.08;  // distances live in (0, 1]
-  options.seed = 5;
-  Fqt fqt(n, options, resolve);
-  const KnnGraph expected = ReferenceKnnGraph(stack.oracle.get(), 4);
-  for (ObjectId q = 0; q < n; ++q) {
-    ASSERT_EQ(fqt.Knn(q, 4, resolve), expected[q]) << "query " << q;
-  }
-}
-
-TEST(FqtTest, RangeMatchesBruteForceOnEditDistance) {
-  std::vector<std::string> strings =
-      DnaFamilyStrings(28, 18, /*num_families=*/3, /*mutations=*/2, 172);
-  LevenshteinOracle oracle(strings);
-  const ResolveFn resolve = RawResolve(&oracle);
-  Fqt fqt(28, FqtOptions{}, resolve);  // width 1: the natural integer fit
-  for (const double radius : {0.0, 3.0, 7.0}) {
-    for (ObjectId q = 0; q < 28; q += 5) {
-      std::vector<KnnNeighbor> brute;
-      for (ObjectId v = 0; v < 28; ++v) {
-        if (v == q) continue;
-        const double d = oracle.Distance(q, v);
-        if (d <= radius) brute.push_back(KnnNeighbor{v, d});
-      }
-      std::sort(brute.begin(), brute.end(),
-                [](const KnnNeighbor& a, const KnnNeighbor& b) {
-                  if (a.distance != b.distance) return a.distance < b.distance;
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(fqt.Range(q, radius, resolve), brute)
-          << "q=" << q << " radius=" << radius;
-    }
-  }
-}
-
-TEST(FqtTest, FixedQueriesShareLevelPivotDistances) {
-  // One call per level pivot per query, regardless of branching: a range
-  // query's pivot-call count is bounded by the level count.
-  std::vector<std::string> strings =
-      DnaFamilyStrings(80, 24, /*num_families=*/5, /*mutations=*/2, 173);
-  LevenshteinOracle oracle(strings);
-  Fqt fqt(80, FqtOptions{}, RawResolve(&oracle));
-  uint64_t calls = 0;
-  const ResolveFn counting = [&](ObjectId a, ObjectId b) {
-    ++calls;
-    return oracle.Distance(a, b);
-  };
-  fqt.Range(0, 1.0, counting);  // tight radius: few bucket members touched
-  EXPECT_LT(calls, static_cast<uint64_t>(fqt.num_levels()) + 20);
-}
-
-// ---- BK-tree ----
-
-TEST(BkTreeTest, KnnMatchesReferenceOnEditDistance) {
-  std::vector<std::string> strings =
-      DnaFamilyStrings(30, 18, /*num_families=*/4, /*mutations=*/2, 66);
-  LevenshteinOracle oracle(strings);
-  const ResolveFn resolve = RawResolve(&oracle);
-  BkTree tree(30, resolve);
-  const KnnGraph expected = ReferenceKnnGraph(&oracle, 3);
-  for (ObjectId q = 0; q < 30; ++q) {
-    ASSERT_EQ(tree.Knn(q, 3, resolve), expected[q]) << "query " << q;
-  }
-}
-
-TEST(BkTreeTest, RangeMatchesBruteForce) {
-  std::vector<std::string> strings =
-      DnaFamilyStrings(26, 16, /*num_families=*/3, /*mutations=*/2, 67);
-  LevenshteinOracle oracle(strings);
-  const ResolveFn resolve = RawResolve(&oracle);
-  BkTree tree(26, resolve);
-  for (const double radius : {0.0, 2.0, 5.0, 9.0}) {
-    for (ObjectId q = 0; q < 26; q += 5) {
-      std::vector<KnnNeighbor> brute;
-      for (ObjectId v = 0; v < 26; ++v) {
-        if (v == q) continue;
-        const double d = oracle.Distance(q, v);
-        if (d <= radius) brute.push_back(KnnNeighbor{v, d});
-      }
-      std::sort(brute.begin(), brute.end(),
-                [](const KnnNeighbor& a, const KnnNeighbor& b) {
-                  if (a.distance != b.distance) return a.distance < b.distance;
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(tree.Range(q, radius, resolve), brute)
-          << "q=" << q << " radius=" << radius;
-    }
-  }
-}
-
-TEST(BkTreeTest, RangeQueryPrunesSubtrees) {
-  std::vector<std::string> strings =
-      DnaFamilyStrings(60, 24, /*num_families=*/5, /*mutations=*/2, 68);
-  LevenshteinOracle oracle(strings);
-  const ResolveFn resolve = RawResolve(&oracle);
-  BkTree tree(60, resolve);
-  uint64_t calls = 0;
-  const ResolveFn counting = [&](ObjectId a, ObjectId b) {
-    ++calls;
-    return oracle.Distance(a, b);
-  };
-  tree.Range(0, 2.0, counting);
-  // A tight radius must not touch every object.
-  EXPECT_LT(calls, 59u);
-}
-
-TEST(BkTreeTest, RejectsNonIntegerDistances) {
-  ResolverStack stack = MakeRandomStack(6, 69);  // continuous distances
-  const ResolveFn resolve = RawResolve(stack.oracle.get());
-  EXPECT_DEATH({ BkTree tree(6, resolve); }, "integer");
-}
-
-TEST(BkTreeTest, DepthAndNodeCountReported) {
-  std::vector<std::string> strings =
-      DnaFamilyStrings(20, 16, /*num_families=*/2, /*mutations=*/3, 70);
-  LevenshteinOracle oracle(strings);
-  BkTree tree(20, RawResolve(&oracle));
-  EXPECT_EQ(tree.num_nodes(), 20u);
-  EXPECT_GE(tree.depth(), 1u);
-  EXPECT_LT(tree.depth(), 20u);
 }
 
 }  // namespace

@@ -52,27 +52,43 @@ TEST(MTreeTest, KnnMatchesReferenceForEveryQuery) {
 }
 
 TEST(MTreeTest, RangeMatchesBruteForce) {
-  const ObjectId n = 36;
-  ResolverStack stack = MakeRandomStack(n, 43);
-  const ResolveFn resolve = RawResolve(stack.oracle.get());
-  MTree tree(n, MTreeOptions{}, resolve);
-  for (const double radius : {0.0, 0.3, 0.6, 1.0}) {
-    for (ObjectId q = 0; q < n; q += 6) {
-      std::vector<KnnNeighbor> brute;
-      for (ObjectId v = 0; v < n; ++v) {
-        if (v == q) continue;
-        const double d = stack.oracle->Distance(q, v);
-        if (d <= radius) brute.push_back(KnnNeighbor{v, d});
+  // A continuous metric, then a tie-heavy integer one whose integer radii
+  // equal distances: an object exactly at the radius is in the range.
+  ResolverStack stack = MakeRandomStack(36, 43);
+  LevenshteinOracle dna(
+      DnaFamilyStrings(30, 16, /*num_families=*/3, /*mutations=*/2, 67));
+  const struct {
+    DistanceOracle* oracle;
+    std::vector<double> radii;
+  } inputs[] = {{stack.oracle.get(), {0.0, 0.3, 0.6, 1.0}},
+                {&dna, {0.0, 1.0, 2.0, 3.0, 5.0, 9.0}}};
+  uint64_t dna_ties = 0;
+  for (const auto& input : inputs) {
+    const ObjectId n = input.oracle->num_objects();
+    const ResolveFn resolve = RawResolve(input.oracle);
+    MTree tree(n, MTreeOptions{}, resolve);
+    for (const double radius : input.radii) {
+      for (ObjectId q = 0; q < n; ++q) {
+        std::vector<KnnNeighbor> brute;
+        for (ObjectId v = 0; v < n; ++v) {
+          if (v == q) continue;
+          const double d = input.oracle->Distance(q, v);
+          if (d <= radius) brute.push_back(KnnNeighbor{v, d});
+          if (input.oracle == &dna && d == radius) ++dna_ties;
+        }
+        std::sort(brute.begin(), brute.end(),
+                  [](const KnnNeighbor& a, const KnnNeighbor& b) {
+                    if (a.distance != b.distance) {
+                      return a.distance < b.distance;
+                    }
+                    return a.id < b.id;
+                  });
+        ASSERT_EQ(tree.Range(q, radius, resolve), brute)
+            << input.oracle->name() << " q=" << q << " radius=" << radius;
       }
-      std::sort(brute.begin(), brute.end(),
-                [](const KnnNeighbor& a, const KnnNeighbor& b) {
-                  if (a.distance != b.distance) return a.distance < b.distance;
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(tree.Range(q, radius, resolve), brute)
-          << "q=" << q << " radius=" << radius;
     }
   }
+  EXPECT_GT(dna_ties, 0u);
 }
 
 TEST(MTreeTest, TieHeavyIntegerMetricStillExact) {

@@ -237,16 +237,6 @@ TEST(VerifyingOracleTest, CatchesTriangleViolation) {
       "triangle");
 }
 
-TEST(CachingOracleTest, SecondLookupIsAHit) {
-  VectorOracle base(TinyPoints(), VectorMetric::kEuclidean);
-  CachingOracle cached(&base);
-  const double d1 = cached.Distance(0, 1);
-  const double d2 = cached.Distance(1, 0);  // symmetric key: cache hit
-  EXPECT_DOUBLE_EQ(d1, d2);
-  EXPECT_EQ(cached.misses(), 1u);
-  EXPECT_EQ(cached.hits(), 1u);
-}
-
 // ---- BatchDistance ----
 
 // Every pair, both orientations, plus repeats: the batch entry point must
